@@ -35,8 +35,8 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from .common import Pipeline, read
-from .text import _token_bucket, _tokens
+from .common import Pipeline, bucketed, read
+from .text import _tokens
 
 BPE_BUCKETS = 64
 BPE_TOP_M = 100_000  # per-bucket word-table cap (never binds at test scale)
@@ -51,11 +51,9 @@ def _word_partials(batch: pd.DataFrame) -> pd.DataFrame:
     toks = _tokens(batch["text"])
     flat = np.concatenate(toks.to_numpy()) if len(toks) else np.array([], dtype=object)
     if not flat.size:
-        return pd.DataFrame({"word": pd.Series(dtype=object), "cnt": pd.Series(dtype="int64"), "gb": pd.Series(dtype="int64")})
+        return pd.DataFrame({"word": pd.Series(dtype=object), "cnt": pd.Series(dtype="int64")})
     u, c = np.unique(flat, return_counts=True)
-    out = pd.DataFrame({"word": u, "cnt": c.astype("int64")})
-    out["gb"] = _token_bucket(out["word"].to_numpy()) % BPE_BUCKETS
-    return out
+    return pd.DataFrame({"word": u, "cnt": c.astype("int64")})
 
 
 def _merge_word_bucket(g: pd.DataFrame) -> pd.DataFrame:
@@ -67,13 +65,8 @@ def _merge_word_bucket(g: pd.DataFrame) -> pd.DataFrame:
 
 def word_table(sf_dir: str) -> pd.DataFrame:
     """→ bounded (word, cnt) frequency table, sorted (cnt desc, word)."""
-    t = (
-        read(sf_dir, "documents", ["text"])
-        .map_batches(_word_partials, batch_format="pandas")
-        .groupby("gb")
-        .map_groups(_merge_word_bucket, batch_format="pandas")
-        .to_pandas()
-    )
+    parts = read(sf_dir, "documents", ["text"]).map_batches(_word_partials, batch_format="pandas")
+    t = bucketed(parts, "word", _merge_word_bucket, BPE_BUCKETS).to_pandas()
     if "word" not in t.columns:  # all-empty corpus loses the schema
         t = pd.DataFrame({"word": pd.Series(dtype=object), "cnt": pd.Series(dtype="int64")})
     return t.sort_values(["cnt", "word"], ascending=[False, True]).reset_index(drop=True)

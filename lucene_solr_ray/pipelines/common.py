@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
+import pandas as pd
 
 
 @dataclass
@@ -40,11 +41,49 @@ def merge_partials(ds, keys: list[str], ops: dict[str, str]):
     handles domain × blocks rows — never the raw row count.  This is the
     facet/stats coordinator pattern (per-shard responses merged centrally)
     and skips the Ray all-to-all Aggregate's fixed cost (~2-4 s per op on
-    this box).  For UNBOUNDED key domains (ids, vocabularies) use a
-    bucketed `groupby` shuffle instead — see CLAUDE.md."""
-    import pandas as pd  # noqa: F401
-
+    this box).  For UNBOUNDED key domains (ids, vocabularies) use
+    `bucketed` instead."""
     return ds.to_pandas().groupby(keys, as_index=False).agg(ops)
+
+
+# Fixed shuffle domain for unbounded keys: Ray's groupby().map_groups costs
+# ~1 ms per GROUP, so a shuffle is never keyed by a vocabulary-sized column.
+SHUFFLE_BUCKETS = 512
+BUCKET_COL = "__bucket"  # the column `bucketed` adds for its groupby
+
+
+def bucket_of(values, n: int) -> np.ndarray:
+    """Deterministic key → bucket in [0, n).  Integer keys are their own
+    residue; every other dtype goes through pandas' siphash (`hash_array`,
+    fixed key — stable across worker processes, unlike builtin `hash`).  A
+    DataFrame (multi-column key) hashes its rows."""
+    if isinstance(values, pd.DataFrame):
+        v = pd.util.hash_pandas_object(values, index=False).to_numpy()
+    else:
+        v = np.asarray(values)
+        if not np.issubdtype(v.dtype, np.integer):
+            v = pd.util.hash_array(v.astype(object, copy=False) if v.dtype.kind in "OUS" else v)
+    return (v % n).astype(np.int64)
+
+
+def bucketed(ds, key: str | list[str], fn: Callable, n_buckets: int | None = None):
+    """The bounded co-location shuffle: every row with an equal `key` lands
+    in the same `fn(group)` call, and there are at most `n_buckets` groups
+    (None → `SHUFFLE_BUCKETS`, read at call time).  `fn` gets a pandas frame
+    holding one bucket's rows — many distinct keys — plus a BUCKET_COL
+    column, and does the real per-key work in pandas.  The bucket column is
+    added in a map stage that Ray fuses into the caller's last map."""
+    n = SHUFFLE_BUCKETS if n_buckets is None else n_buckets
+
+    def add_bucket(batch: pd.DataFrame) -> pd.DataFrame:
+        batch[BUCKET_COL] = bucket_of(batch[key], n)
+        return batch
+
+    return (
+        ds.map_batches(add_bucket, batch_format="pandas")
+        .groupby(BUCKET_COL)
+        .map_groups(fn, batch_format="pandas")
+    )
 
 
 def pool(frac: float = 0.5, lo: int = 1) -> tuple[int, int]:

@@ -12,8 +12,8 @@ separately gated; this is the flagship composition):
 
 Scale shape: the benchmark gram set is the only broadcast (tiny by
 definition); stages 1–3 + 5 are ONE vectorized map_batches pass computing
-per-doc masks; stage 4 is the fixed-512-bucket fingerprint shuffle (never
-keyed by the fingerprint space); stage 6 touches only (doc_id, n_tokens)
+per-doc masks; stage 4 is the bucketed fingerprint shuffle; stage 6
+touches only (doc_id, n_tokens)
 metadata.  The DuckDB twin chains the same stages as CTEs with the same
 literals — the whole composition is strict-gated end to end.
 """
@@ -25,7 +25,7 @@ import hashlib
 import numpy as np
 import pandas as pd
 
-from .common import Pipeline, read
+from .common import Pipeline, bucketed, read
 from .relational import _M32, _SAMPLE_C1, _SAMPLE_C2, _SAMPLE_SEED, _sample_hash
 from .text import DECON_MOD, DECON_W, TOKEN_RE, _doc_grams, _tokens, pack_offsets
 
@@ -87,19 +87,15 @@ def curate_corpus(sf_dir: str):
                 "fp": fps.to_numpy(),
             }
         )
-        # 4 combiner: local first-per-fingerprint, fixed-bucket shuffle key
-        res = res.sort_values("doc_id").drop_duplicates("fp").copy()
-        res["bucket"] = pd.util.hash_array(res["fp"].to_numpy(dtype=object)) % 512
-        return res
+        # 4 combiner: local first-per-fingerprint
+        return res.sort_values("doc_id").drop_duplicates("fp")
 
     def merge(g: pd.DataFrame) -> pd.DataFrame:
         return (
             g.sort_values("doc_id").drop_duplicates("fp")[["doc_id", "lang", "n_tokens"]]
         )
 
-    survivors = ds.map_batches(stage, batch_format="pandas").groupby("bucket").map_groups(
-        merge, batch_format="pandas"
-    )
+    survivors = bucketed(ds.map_batches(stage, batch_format="pandas"), "fp", merge)
     # 6: packing over the surviving metadata — DISTRIBUTED two-level
     # exclusive scan (pack_offsets: driver sees only range-bucket totals,
     # never the per-doc counts; r3 verdict weak #2 closed).

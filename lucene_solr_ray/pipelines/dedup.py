@@ -26,7 +26,7 @@ import hashlib
 import numpy as np
 import pandas as pd
 
-from .common import Pipeline, read
+from .common import Pipeline, bucketed, read
 from .text import TOKEN_RE, _tokens
 
 # --------------------------------------------------------------------------
@@ -35,31 +35,17 @@ from .text import TOKEN_RE, _tokens
 
 
 def dedup_exact(sf_dir: str):
-    # two-stage: per-batch partial (sig → min doc_id, count), then a FIXED
-    # 512-bucket shuffle merging partials — never keyed by the
-    # signature space itself (one group per distinct doc otherwise)
+    # two-stage: per-batch partial (sig → min doc_id, count), then the
+    # bucketed shuffle merges partials per signature
+    def merge(g: pd.DataFrame) -> pd.DataFrame:
+        return g.groupby("sig", as_index=False).agg(doc_id=("doc_id", "min"), n_dups=("n_dups", "sum"))
+
     def sig_partial(batch: pd.DataFrame) -> pd.DataFrame:
         s = batch["text"].map(lambda t: hashlib.md5(t.encode()).hexdigest())
-        g = (
-            pd.DataFrame({"sig": s, "doc_id": batch["doc_id"], "n_dups": 1})
-            .groupby("sig", as_index=False)
-            .agg(doc_id=("doc_id", "min"), n_dups=("n_dups", "sum"))
-        )
-        g["bucket"] = g["sig"].str.slice(0, 4).apply(int, base=16) % 512
-        return g
+        return merge(pd.DataFrame({"sig": s, "doc_id": batch["doc_id"], "n_dups": 1}))
 
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
-        return g.groupby("sig", as_index=False).agg(
-            doc_id=("doc_id", "min"), n_dups=("n_dups", "sum")
-        )
-
-    out = (
-        read(sf_dir, "documents", ["doc_id", "text"])
-        .map_batches(sig_partial, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(merge, batch_format="pandas")
-        .to_pandas()
-    )
+    sigs = read(sf_dir, "documents", ["doc_id", "text"]).map_batches(sig_partial, batch_format="pandas")
+    out = bucketed(sigs, "sig", merge).to_pandas()
     out["n_dups"] = out["n_dups"].astype("int64")
     return out[["sig", "doc_id", "n_dups"]].sort_values("doc_id").reset_index(drop=True)
 
@@ -76,9 +62,9 @@ FROM documents GROUP BY md5(text) ORDER BY doc_id
 # document, and the surviving lines are re-joined in order.
 #
 # Scale shape (100 TB): BROADCAST-FREE bucketed anti-join.  Docs explode
-# into (doc_id, ord, line) rows routed through a FIXED 512-bucket shuffle
-# keyed by line hash — every occurrence of a given line lands in the same
-# bucket, so its corpus count (and dup membership, by EXACT string
+# into (doc_id, ord, line) rows routed through a bucketed shuffle on the
+# line — every occurrence of a given line lands in the same bucket, so its
+# corpus count (and dup membership, by EXACT string
 # comparison, not 64-bit-hash membership) is decided entirely inside that
 # bucket.  Surviving lines are re-shuffled by doc bucket and reassembled in
 # ord order.  The duplicate-line set never exists as one object anywhere —
@@ -103,7 +89,7 @@ def line_dedup(sf_dir: str, sep: str = " a ", min_count: int = 2):
     )
 
 
-def line_dedup_over(docs, sep: str = " a ", min_count: int = 2, nbuckets: int = 512):
+def line_dedup_over(docs, sep: str = " a ", min_count: int = 2, nbuckets: int | None = None):
     """Dataset-shaped core of line_dedup (the curate-flagship stage form):
     `docs` carries at least (doc_id, text); → Dataset with (doc_id,
     text_clean, n_lines, n_removed) — other non-text columns pass through
@@ -127,7 +113,6 @@ def line_dedup_over(docs, sep: str = " a ", min_count: int = 2, nbuckets: int = 
                 "doc_id": np.repeat(batch["doc_id"].to_numpy(), lens),
                 "ord": np.arange(total, dtype=np.int64) - starts,
                 "ln": flat,
-                "bucket": (pd.util.hash_array(flat) % nbuckets).astype("int64"),
             }
         )
 
@@ -136,7 +121,7 @@ def line_dedup_over(docs, sep: str = " a ", min_count: int = 2, nbuckets: int = 
         # exact corpus count; membership is by string value, never by hash
         cnt = g.groupby("ln")["ln"].transform("size").to_numpy()
         keep = cnt < min_count
-        out = pd.DataFrame(
+        return pd.DataFrame(
             {
                 "doc_id": g["doc_id"].to_numpy(),
                 "ord": g["ord"].to_numpy(),
@@ -145,8 +130,6 @@ def line_dedup_over(docs, sep: str = " a ", min_count: int = 2, nbuckets: int = 
                 "keep": keep,
             }
         )
-        out["db"] = (out["doc_id"] % nbuckets).astype("int64")
-        return out
 
     def reassemble(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["doc_id", "ord"], kind="mergesort")
@@ -163,14 +146,9 @@ def line_dedup_over(docs, sep: str = " a ", min_count: int = 2, nbuckets: int = 
             }
         )
 
-    cleaned = (
-        docs.select_columns(["doc_id", "text"])
-        .map_batches(explode, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(bucket_scrub, batch_format="pandas")
-        .groupby("db")
-        .map_groups(reassemble, batch_format="pandas")
-    )
+    lines = docs.select_columns(["doc_id", "text"]).map_batches(explode, batch_format="pandas")
+    scrubbed = bucketed(lines, "ln", bucket_scrub, nbuckets)
+    cleaned = bucketed(scrubbed, "doc_id", reassemble, nbuckets)
     other = [c for c in docs.schema().names if c != "text"]
     if other == ["doc_id"]:
         return cleaned
@@ -192,9 +170,9 @@ def line_dedup_over(docs, sep: str = " a ", min_count: int = 2, nbuckets: int = 
 # divided once at the end, so the strict gate holds bit-exactly.
 #
 # Scale shape: stage 1 aggregates (doc, gram) multiplicities per batch;
-# stage 2 shuffles grams into 512 fixed buckets, resolves each gram's
-# global count INSIDE its bucket, and emits per-(doc) partial sums; stage 3
-# shuffles those doc partials into 512 fixed doc buckets and merges.  The
+# stage 2 shuffles grams into buckets, resolves each gram's global count
+# INSIDE its bucket, and emits per-(doc) partial sums; stage 3 shuffles
+# those doc partials into doc buckets and merges.  The
 # gram vocabulary never lands on the driver; output is one row per doc.
 
 
@@ -210,7 +188,7 @@ def soft_dedup_parts(docs, text_col: str = "text", toks_col: str | None = None):
     """LAZY Dataset of per-doc SoftDedup partials (doc_id, n, sc) — n = doc
     2-gram count, sc = Σ global corpus count of each gram occurrence.
     Gram-less docs emit NO row (callers fill weight=1.0).  The gram+doc
-    double fixed-bucket shuffle; nothing ever lands on the driver."""
+    double bucketed shuffle; nothing ever lands on the driver."""
     from .text import _explode_tokens
 
     def gram_rows(batch: pd.DataFrame) -> pd.DataFrame:
@@ -222,39 +200,29 @@ def soft_dedup_parts(docs, text_col: str = "text", toks_col: str | None = None):
         dids = batch["doc_id"].to_numpy()
         if codes.size < 2:
             return pd.DataFrame(
-                {"gram": np.empty(0, object), "doc_id": np.empty(0, np.int64),
-                 "m": np.empty(0, np.int64), "bucket": np.empty(0, np.int64)}
+                {"gram": np.empty(0, object), "doc_id": np.empty(0, np.int64), "m": np.empty(0, np.int64)}
             )
         toks = uniq[codes]
         same = doc_idx[:-1] == doc_idx[1:]
         grams = (toks[:-1] + " " + toks[1:])[same]
         gdoc = dids[doc_idx[:-1][same]]
-        g = (
+        return (
             pd.DataFrame({"gram": grams, "doc_id": gdoc, "m": np.int64(1)})
             .groupby(["gram", "doc_id"], as_index=False)["m"]
             .sum()
         )
-        g["bucket"] = (pd.util.hash_array(g["gram"].to_numpy(dtype=object)) % 512).astype("int64")
-        return g
 
     def bucket_doc_partials(g: pd.DataFrame) -> pd.DataFrame:
         m = g.groupby(["gram", "doc_id"], as_index=False)["m"].sum()
         cnt = m.groupby("gram")["m"].sum()
         m["mc"] = m["m"].to_numpy() * cnt.loc[m["gram"]].to_numpy()
-        p = m.groupby("doc_id", as_index=False).agg(n=("m", "sum"), sc=("mc", "sum"))
-        p["db"] = p["doc_id"] % 512
-        return p
+        return m.groupby("doc_id", as_index=False).agg(n=("m", "sum"), sc=("mc", "sum"))
 
     def merge_doc(g: pd.DataFrame) -> pd.DataFrame:
         return g.groupby("doc_id", as_index=False).agg(n=("n", "sum"), sc=("sc", "sum"))
 
-    return (
-        docs.map_batches(gram_rows, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(bucket_doc_partials, batch_format="pandas")
-        .groupby("db")
-        .map_groups(merge_doc, batch_format="pandas")
-    )
+    doc_parts = bucketed(docs.map_batches(gram_rows, batch_format="pandas"), "gram", bucket_doc_partials)
+    return bucketed(doc_parts, "doc_id", merge_doc)
 
 
 def soft_dedup_over(docs, ids: pd.DataFrame, text_col: str = "text", toks_col: str | None = None):
@@ -327,25 +295,17 @@ ORDER BY doc_id
 
 
 def dedup_first_per_key(sf_dir: str):
-    # two-stage: per-batch local first per key (combiner), then a fixed
-    # 512-bucket shuffle merging locals — never keyed by the raw key space
+    # two-stage: per-batch local first per key (combiner), then the
+    # bucketed shuffle merges the locals
     def local_first(batch: pd.DataFrame) -> pd.DataFrame:
         b = batch.sort_values(["ts", "event_id"])
-        out = b.drop_duplicates(["user_id", "event_type"]).copy()
-        out["bucket"] = out["user_id"] % 512
-        return out
+        return b.drop_duplicates(["user_id", "event_type"])
 
     def merge(g: pd.DataFrame) -> pd.DataFrame:
-        b = g.sort_values(["ts", "event_id"])
-        return b.drop_duplicates(["user_id", "event_type"])[["user_id", "event_type", "event_id"]]
+        return local_first(g)[["user_id", "event_type", "event_id"]]
 
-    out = (
-        read(sf_dir, "events", ["user_id", "event_type", "event_id", "ts"])
-        .map_batches(local_first, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(merge, batch_format="pandas")
-        .to_pandas()
-    )
+    ev = read(sf_dir, "events", ["user_id", "event_type", "event_id", "ts"])
+    out = bucketed(ev.map_batches(local_first, batch_format="pandas"), "user_id", merge).to_pandas()
     return out.sort_values(["user_id", "event_type"]).reset_index(drop=True)
 
 
@@ -369,6 +329,7 @@ N_BANDS = 16
 ROWS_PER_BAND = N_HASH // N_BANDS
 SHINGLE_K = 3
 MAX_BUCKET = 256  # all-pairs cap per LSH band bucket (see _bucket_pairs)
+LSH_BUCKETS = 4096  # shuffle domain for the band-hash candidate stage
 VERIFY_BUCKETS = 256  # fixed shuffle domain for the distributed verify stage
 _MERSENNE31 = (1 << 31) - 1  # products of two <2^31 values fit in int64
 _rng = np.random.default_rng(1234)
@@ -524,10 +485,6 @@ def dedup_minhash(sf_dir: str, jaccard_threshold: float = 0.5):
             {
                 "band": np.tile(np.arange(N_BANDS, dtype=np.int64), n),
                 "bh": bh,
-                # the SHUFFLE key is a fixed-width bucket of the band hash —
-                # never shuffle by the (vocabulary-sized) raw bucket id;
-                # real buckets are grouped in pandas inside each group
-                "gb": bh % np.int64(4096),
                 "doc_id": np.repeat(batch["doc_id"].to_numpy(), N_BANDS),
             }
         )
@@ -560,9 +517,7 @@ def dedup_minhash(sf_dir: str, jaccard_threshold: float = 0.5):
 
     ds = read(sf_dir, "documents", ["doc_id", "text"])
     cand = (
-        ds.map_batches(bands, batch_format="pandas")
-        .groupby("gb")
-        .map_groups(candidates, batch_format="pandas")
+        bucketed(ds.map_batches(bands, batch_format="pandas"), "bh", candidates, LSH_BUCKETS)
         .to_pandas()  # candidate pair IDS only — output-bounded by LSH design
         .drop_duplicates()
     )
@@ -758,7 +713,7 @@ def dedup_clusters(sf_dir: str, jaccard_threshold: float = 0.5):
     return out.reset_index(drop=True)
 
 
-def cluster_pairs_distributed(pairs: pd.DataFrame, nbuckets: int = 512, max_rounds: int = 30):
+def cluster_pairs_distributed(pairs: pd.DataFrame, nbuckets: int | None = None, max_rounds: int = 30):
     """Connected components over a pair list WITHOUT a driver union-find —
     the alternating small-star/large-star MapReduce algorithm (Kiveris et
     al. 2014, "Connected Components in MapReduce and Beyond"), each round
@@ -807,9 +762,7 @@ def cluster_pairs_distributed(pairs: pd.DataFrame, nbuckets: int = 512, max_roun
             else:  # directed high → low
                 u = np.maximum(a, c)
                 v = np.minimum(a, c)
-            df = pd.DataFrame({"u": u, "v": v}).drop_duplicates()
-            df["gb"] = df["u"] % nbuckets
-            return df
+            return pd.DataFrame({"u": u, "v": v}).drop_duplicates()
 
         def grp(g: pd.DataFrame) -> pd.DataFrame:
             mn = g.groupby("u")["v"].min()
@@ -827,11 +780,7 @@ def cluster_pairs_distributed(pairs: pd.DataFrame, nbuckets: int = 512, max_roun
             out = out[out["a"] != out["b"]].drop_duplicates()
             return out.astype({"a": "int64", "b": "int64"})
 
-        return (
-            edges_ds.map_batches(emit, batch_format="pandas")
-            .groupby("gb")
-            .map_groups(grp, batch_format="pandas")
-        )
+        return bucketed(edges_ds.map_batches(emit, batch_format="pandas"), "u", grp, nbuckets)
 
     def checksum(edges_ds) -> tuple[int, int]:
         def part(b: pd.DataFrame) -> pd.DataFrame:

@@ -17,8 +17,8 @@ hashed n-gram buckets (see `dsir_weights(hash_dim=...)`).
 Distribution of work mirrors `pipelines/lm.py`:
 
 Train — token counts NEVER merge unbucketed (CLAUDE.md bucketed-shuffle
-rule): per-batch (token, c_target, c_raw) partials hash into LM_BUCKETS
-fixed siphash buckets; per-bucket map_groups merges exactly, contributes
+rule): per-batch (token, c_target, c_raw) partials go through
+`bucketed` with LM_BUCKETS buckets; per-bucket map_groups merges exactly, contributes
 its exact distinct count (V) and token-total partials (T_target/T_raw
 over the FULL bucket, pre-truncation), then truncates the shipped model to
 the per-bucket top-M by either count (a token lives in exactly one bucket,
@@ -39,9 +39,9 @@ import math
 import numpy as np
 import pandas as pd
 
-from .common import Pipeline, read
+from .common import Pipeline, bucket_of, bucketed, read
 from .lm import LM_BUCKETS, LM_TOP_M
-from .text import TOKEN_RE, _explode_tokens, _token_bucket
+from .text import TOKEN_RE, _explode_tokens
 
 TARGET_LANG = "en"
 
@@ -57,7 +57,6 @@ def _dsir_partials(batch: pd.DataFrame) -> pd.DataFrame:
                 "ct": pd.Series(dtype="int64"),
                 "cr": pd.Series(dtype="int64"),
                 "kind": pd.Series(dtype="int64"),
-                "gb": pd.Series(dtype="int64"),
             }
         )
     tok_t = (batch["lang"].to_numpy() == TARGET_LANG)[doc_idx]
@@ -65,7 +64,6 @@ def _dsir_partials(batch: pd.DataFrame) -> pd.DataFrame:
     ct = np.bincount(codes[tok_t], minlength=uniq.size).astype(np.int64)
     out = pd.DataFrame({"key": uniq, "ct": ct, "cr": cr})
     out["kind"] = np.int64(0)
-    out["gb"] = _token_bucket(out["key"].to_numpy()) % LM_BUCKETS
     return out
 
 
@@ -92,13 +90,9 @@ def _merge_dsir_bucket(g: pd.DataFrame) -> pd.DataFrame:
 
 def train_dsir(sf_dir: str) -> tuple[dict, int, int, int]:
     """→ (counts: token → (c_target, c_raw), T_target, T_raw, V)."""
-    merged = (
-        read(sf_dir, "documents", ["text", "lang"])
-        .map_batches(_dsir_partials, batch_format="pandas")
-        .groupby("gb")
-        .map_groups(_merge_dsir_bucket, batch_format="pandas")
-        .to_pandas()  # ≤ LM_BUCKETS × (2·LM_TOP_M + 2) rows, model-bounded
-    )
+    parts = read(sf_dir, "documents", ["text", "lang"]).map_batches(_dsir_partials, batch_format="pandas")
+    # ≤ LM_BUCKETS × (2·LM_TOP_M + 2) rows, model-bounded
+    merged = bucketed(parts, "key", _merge_dsir_bucket, LM_BUCKETS).to_pandas()
     model_rows = merged[merged["kind"] == 0]
     v = int(merged.loc[(merged["kind"] == 1) & (merged["key"] == "__v__"), "ct"].sum())
     tots = merged[(merged["kind"] == 1) & (merged["key"] == "__tot__")]
@@ -303,7 +297,7 @@ def hashed_dsir_weights(sf_dir: str, hash_dim: int = 4096):
         if not codes.size:
             return pd.DataFrame({"h": pd.Series(dtype="int64"), "ct": pd.Series(dtype="int64"), "cr": pd.Series(dtype="int64")})
         # hash each UNIQUE token once, gather through the codes
-        h = (pd.util.hash_array(uniq.astype(object)) % hash_dim).astype(np.int64)[codes]
+        h = bucket_of(uniq, hash_dim)[codes]
         tok_t = (batch["lang"].to_numpy() == TARGET_LANG)[doc_idx]
         cr = np.bincount(h, minlength=hash_dim).astype(np.int64)
         ct = np.bincount(h[tok_t], minlength=hash_dim).astype(np.int64)
@@ -328,7 +322,7 @@ def hashed_dsir_weights(sf_dir: str, hash_dim: int = 4096):
         _di, codes, uniq, lens = _explode_tokens(batch["text"])
         logw = np.zeros(n, dtype=np.float64)
         if codes.size:
-            h = (pd.util.hash_array(uniq.astype(object)) % _dim).astype(np.int64)[codes]
+            h = bucket_of(uniq, _dim)[codes]
             starts = np.zeros(n, dtype=np.int64)
             np.cumsum(lens[:-1], out=starts[1:])
             nz = lens > 0

@@ -12,8 +12,8 @@ as a broadcast-model streaming scorer:
 
 Train — vocabulary-keyed counts NEVER merge unbucketed on one node
 (CLAUDE.md bucketed-shuffle rule): one streaming pass emits per-batch
-unigram/bigram count partials keyed into TOKEN_BUCKETS fixed siphash
-buckets; per-bucket map_groups merges exactly, counts its distinct unigrams
+unigram/bigram count partials go through `bucketed` (LM_BUCKETS
+buckets); per-bucket map_groups merges exactly, counts its distinct unigrams
 (V is the sum of per-bucket distincts — exact, buckets partition the vocab)
 and truncates to the top-M entries per bucket (the pruned-KenLM model cap;
 a bigram's global count is bucket-local, so any global top-k ≤ M is exact).
@@ -38,13 +38,13 @@ import math
 import numpy as np
 import pandas as pd
 
-from .common import Pipeline, read
-from .text import TOKEN_RE, _token_bucket, _tokens
+from .common import Pipeline, bucketed, read
+from .text import TOKEN_RE, _tokens
 
 # per-bucket model cap: bounds the broadcast model to ≤ LM_BUCKETS·M rows
 # per kind (CCNet prunes its KenLM the same way); never binds at test scale.
 LM_TOP_M = 50_000
-# fewer buckets than TOKEN_BUCKETS: map_groups costs ~1ms/group of fixed
+# fewer buckets than SHUFFLE_BUCKETS: map_groups costs ~1ms/group of fixed
 # scheduling (CLAUDE.md), and 512 groups dominated the trainer wall-time
 # (6.6 s → 1.6 s at 64, measured sf0.1). Raise on a real cluster where
 # per-bucket merge parallelism matters more than per-group fixed cost.
@@ -72,10 +72,8 @@ def _count_partials(batch: pd.DataFrame) -> pd.DataFrame:
                 u2, c2 = np.unique(pairs, return_counts=True)
                 frames.append(pd.DataFrame({"key": u2, "kind": 1, "cnt": c2.astype("int64")}))
     if not frames:
-        return pd.DataFrame({"key": pd.Series(dtype=object), "kind": pd.Series(dtype="int64"), "cnt": pd.Series(dtype="int64"), "gb": pd.Series(dtype="int64")})
-    out = pd.concat(frames, ignore_index=True)
-    out["gb"] = _token_bucket(out["key"].to_numpy()) % LM_BUCKETS
-    return out
+        return pd.DataFrame({"key": pd.Series(dtype=object), "kind": pd.Series(dtype="int64"), "cnt": pd.Series(dtype="int64")})
+    return pd.concat(frames, ignore_index=True)
 
 
 def _merge_bucket_topm(g: pd.DataFrame) -> pd.DataFrame:
@@ -98,13 +96,9 @@ def _merge_bucket_topm(g: pd.DataFrame) -> pd.DataFrame:
 
 def train_bigram_lm(sf_dir: str) -> tuple[dict, dict, int]:
     """→ (c1: token→count, c2: 'w1 w2'→count, V: exact distinct unigrams)."""
-    merged = (
-        read(sf_dir, "documents", ["text"])
-        .map_batches(_count_partials, batch_format="pandas")
-        .groupby("gb")
-        .map_groups(_merge_bucket_topm, batch_format="pandas")
-        .to_pandas()  # ≤ TOKEN_BUCKETS × (2·LM_TOP_M + 1) rows, model-bounded
-    )
+    parts = read(sf_dir, "documents", ["text"]).map_batches(_count_partials, batch_format="pandas")
+    # ≤ LM_BUCKETS × (2·LM_TOP_M + 1) rows, model-bounded
+    merged = bucketed(parts, "key", _merge_bucket_topm, LM_BUCKETS).to_pandas()
     uni = merged[merged["kind"] == 0]
     big = merged[merged["kind"] == 1]
     v = int(merged.loc[merged["kind"] == 2, "cnt"].sum())

@@ -12,10 +12,9 @@
 
 Ray-Data-first shapes:
 - Feature selection is the two-pass FeaturesSelectionStream design: a tiny
-  totals pass (n, n_positive), then per-batch term partials hashed into the
-  fixed TOKEN_BUCKETS shuffle domain (never keyed by the unbounded token
-  space) with per-bucket top-N — driver merges ≤ buckets×N rows, the
-  vocabulary never materializes on the driver.
+  totals pass (n, n_positive), then per-batch term partials through the
+  bucketed token shuffle with per-bucket top-N — driver merges
+  ≤ buckets×N rows, the vocabulary never materializes on the driver.
 - Training materializes the NARROW feature matrix once (doc_id, y, F int8
   presence columns — orders of magnitude smaller than the text), then each
   GD iteration is one `map_batches` pass emitting a per-batch gradient
@@ -27,7 +26,7 @@ Ray-Data-first shapes:
 Float-parity note: the exported IG scores are computed with SCALAR
 `math.log` (libm) per distinct surviving term so they hash-match the DuckDB
 `ln()` twin bit-for-bit (see CLAUDE.md); the per-bucket candidate set is
-vocabulary/TOKEN_BUCKETS sized, so the scalar loop is bounded.  Training
+vocabulary/buckets sized, so the scalar loop is bounded.  Training
 metrics are not hash-gated (iterative / float-accumulation-order dependent
 ⇒ rows-only check + pytest duel vs a driver-side NumPy reference).
 """
@@ -39,8 +38,8 @@ import math
 import numpy as np
 import pandas as pd
 
-from .common import Pipeline, read
-from .text import TOKEN_RE, _explode_tokens, _token_bucket
+from .common import Pipeline, bucketed, read
+from .text import TOKEN_RE, _explode_tokens
 
 POS_TERM = "spark"  # the positive class is query-defined (text:spark) —
 # exactly how TextLogitStream consumes a training set (positives = docs
@@ -96,7 +95,6 @@ def _doc_term_partials(batch: pd.DataFrame, pos_term: str = POS_TERM) -> pd.Data
             "token": uniq,
             "df": df.astype("int64"),
             "pos_df": pos_df.astype("int64"),
-            "gb": _token_bucket(uniq),
         }
     )
 
@@ -136,11 +134,7 @@ def features_igain(
         order = np.lexsort((m["token"].to_numpy(), -m["ig"].to_numpy()))
         return m.iloc[order].head(n_features)
 
-    out = (
-        parts.groupby("gb")
-        .map_groups(merge, batch_format="pandas")
-        .to_pandas()  # ≤ TOKEN_BUCKETS × n_features rows
-    )
+    out = bucketed(parts, "token", merge).to_pandas()  # ≤ buckets × n_features rows
     cols = ["token", "df", "pos_df", "ig"]
     if not all(c in out.columns for c in cols):
         out = pd.DataFrame(

@@ -13,8 +13,8 @@ both gates are strict (value-hash) checks.
 Scale shape: token derivation + bigramming are one vectorized codepoint
 pass per batch (composite uint64 bigram keys — no per-bigram Python
 strings until the bounded merge); the top-bigrams aggregate uses the
-fixed 512-bucket vocabulary shuffle with per-bucket top-k partials
-(CLAUDE.md bucketed-shuffle rule), so the driver merge is output-bounded.
+bucketed vocabulary shuffle with per-bucket top-k partials, so the driver
+merge is output-bounded.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ import numpy as np
 import pandas as pd
 
 from ..analysis.icu import icu_terms, icu_token_count  # noqa: F401 (icu_terms re-exported for tests)
-from .common import Pipeline, read
-from .text import TOKEN_BUCKETS, TOKEN_RE
+from .common import Pipeline, bucketed, read
+from .text import TOKEN_RE
 
 # shared literal mapping: a-z0-9 → the first 36 CJK unified ideographs;
 # space and underscore are DELETED (unsegmented CJK text).
@@ -124,13 +124,7 @@ def cjk_top_bigrams(sf_dir: str):
         valid = cjk[:-1] & cjk[1:]  # punctuation the twin's CJK_RE excludes
         keys = (a[valid].astype(np.uint64) << np.uint64(32)) | b[valid].astype(np.uint64)
         uniq, cnt = np.unique(keys, return_counts=True)
-        return pd.DataFrame(
-            {
-                "key": uniq,
-                "cnt": cnt.astype(np.int64),
-                "gb": (uniq % np.uint64(TOKEN_BUCKETS)).astype(np.int64),
-            }
-        )
+        return pd.DataFrame({"key": uniq, "cnt": cnt.astype(np.int64)})
 
     def merge(g: pd.DataFrame) -> pd.DataFrame:
         m = g.groupby("key", as_index=False)["cnt"].sum()
@@ -139,13 +133,8 @@ def cjk_top_bigrams(sf_dir: str):
         m = m.sort_values(["cnt", "bigram"], ascending=[False, True]).head(TOP_BIGRAMS)
         return m[["bigram", "cnt"]]
 
-    out = (
-        read(sf_dir, "documents", ["text", "lang"])
-        .map_batches(explode, batch_format="pandas")
-        .groupby("gb")
-        .map_groups(merge, batch_format="pandas")
-        .to_pandas()
-    )
+    docs = read(sf_dir, "documents", ["text", "lang"]).map_batches(explode, batch_format="pandas")
+    out = bucketed(docs, "key", merge).to_pandas()
     if not len(out):
         return pd.DataFrame(
             {"bigram": pd.Series([], dtype=object), "cnt": pd.Series([], dtype="int64")}

@@ -16,7 +16,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from .common import Pipeline, pool, read
+from .common import Pipeline, bucketed, pool, read
 
 
 def decode_image(payload: bytes):
@@ -166,16 +166,12 @@ def media_pipeline(sf_dir: str):
         uniq, counts = np.unique(ids, return_counts=True)
         return pa.table({"doc_id": pa.array(uniq), "n_frames": pa.array(counts.astype(np.int64))})
 
-    # fixed-bucket map_groups instead of the Ray Aggregate op (2-4 s fixed
-    # cost on this box — CLAUDE.md); doc_id is unbounded, buckets are not
-    def _bucket_of(df):
-        df["bucket"] = (df["doc_id"] % 512).astype("int32")
-        return df
-
+    # bucketed map_groups instead of the Ray Aggregate op (2-4 s fixed
+    # cost on this box — CLAUDE.md)
     def _sum_frames(g):
         return g.groupby("doc_id", as_index=False)["n_frames"].sum()
 
-    agg = (
+    frames = (
         read(sf_dir, "documents", ["doc_id", "text"])
         .map_batches(to_payload, batch_format="pyarrow")
         .map_batches(FakeResizer, batch_format="pyarrow", batch_size=128, concurrency=1)
@@ -184,11 +180,8 @@ def media_pipeline(sf_dir: str):
         )
         .map_batches(FrameSampler, batch_format="pyarrow", batch_size=128, concurrency=1)
         .map_batches(frame_counts, batch_format="pyarrow")
-        .map_batches(_bucket_of, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(_sum_frames, batch_format="pandas")
-        .to_pandas()
     )
+    agg = bucketed(frames, "doc_id", _sum_frames).to_pandas()
     agg["n_frames"] = agg["n_frames"].astype("int64")
     return agg.sort_values("doc_id").reset_index(drop=True)
 

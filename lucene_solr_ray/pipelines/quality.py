@@ -29,9 +29,9 @@ import math
 import numpy as np
 import pandas as pd
 
-from .common import Pipeline, read
+from .common import SHUFFLE_BUCKETS, Pipeline, bucketed, read
 from .relational import _M32, _SAMPLE_C1, _SAMPLE_C2, _SAMPLE_SEED, _sample_hash
-from .text import STOP, STOP_SQL, TOKEN_RE, _explode_tokens, _token_bucket, _tokens
+from .text import STOP, STOP_SQL, TOKEN_RE, _explode_tokens, _tokens
 
 # --------------------------------------------------------------------------
 # Gopher document-quality rules (word count / mean word length / stopword
@@ -236,7 +236,6 @@ def tfidf_keywords(sf_dir: str):
                     "doc_id": pd.Series([], dtype="int64"),
                     "token": pd.Series([], dtype=object),
                     "tf": pd.Series([], dtype="int64"),
-                    "gb": pd.Series([], dtype="int64"),
                 }
             )
         V = np.int64(uniq.size)
@@ -244,14 +243,7 @@ def tfidf_keywords(sf_dir: str):
         d, c = comp // V, comp % V
         doc_ids = batch["doc_id"].to_numpy()
         tok = np.asarray(uniq, dtype=object)[c]
-        return pd.DataFrame(
-            {
-                "doc_id": doc_ids[d],
-                "token": tok,
-                "tf": tf.astype(np.int64),
-                "gb": _token_bucket(tok),
-            }
-        )
+        return pd.DataFrame({"doc_id": doc_ids[d], "token": tok, "tf": tf.astype(np.int64)})
 
     def score_bucket(g: pd.DataFrame) -> pd.DataFrame:
         # every (doc, token) row of a token lands in ONE bucket → df is
@@ -260,15 +252,13 @@ def tfidf_keywords(sf_dir: str):
         udf = np.unique(df_by_tok)
         logs = {int(v): math.log(n_docs / int(v)) for v in udf}
         lg = np.fromiter((logs[int(v)] for v in df_by_tok), dtype=np.float64, count=df_by_tok.size)
-        out = pd.DataFrame(
+        return pd.DataFrame(
             {
                 "doc_id": g["doc_id"],
                 "token": g["token"],
                 "score": g["tf"].to_numpy(np.float64) * lg,
             }
         )
-        out["db"] = out["doc_id"].to_numpy(np.int64) % _DOC_BUCKETS
-        return out
 
     def topk_per_doc(g: pd.DataFrame) -> pd.DataFrame:
         order = np.lexsort((g["token"].to_numpy(), -g["score"].to_numpy(), g["doc_id"].to_numpy()))
@@ -276,14 +266,8 @@ def tfidf_keywords(sf_dir: str):
         r = g.groupby("doc_id").cumcount()
         return g.loc[r < KW_K, ["doc_id", "token", "score"]]
 
-    out = (
-        ds.map_batches(explode, batch_format="pandas")
-        .groupby("gb")
-        .map_groups(score_bucket, batch_format="pandas")
-        .groupby("db")
-        .map_groups(topk_per_doc, batch_format="pandas")
-        .to_pandas()  # ≤ KW_K rows per doc
-    )
+    scored = bucketed(ds.map_batches(explode, batch_format="pandas"), "token", score_bucket)
+    out = bucketed(scored, "doc_id", topk_per_doc, _DOC_BUCKETS).to_pandas()  # ≤ KW_K rows per doc
     order = np.lexsort((out["token"].to_numpy(), -out["score"].to_numpy(), out["doc_id"].to_numpy()))
     return out.iloc[order].reset_index(drop=True)
 
@@ -449,7 +433,6 @@ def source_token_kl(sf_dir: str):
                     "source": pd.Series([], dtype=object),
                     "token": pd.Series([], dtype=object),
                     "c": pd.Series([], dtype="int64"),
-                    "gb": pd.Series([], dtype="int64"),
                 }
             )
         src = pd.factorize(batch["source"])
@@ -462,7 +445,6 @@ def source_token_kl(sf_dir: str):
                 "source": np.asarray(s_uniq, dtype=object)[comp // V],
                 "token": tokv,
                 "c": c.astype(np.int64),
-                "gb": _token_bucket(tokv),
             }
         )
 
@@ -481,13 +463,8 @@ def source_token_kl(sf_dir: str):
         out["contrib"] = kl
         return out
 
-    out = (
-        read(sf_dir, "documents", ["text", "source"])
-        .map_batches(partials, batch_format="pandas")
-        .groupby("gb")
-        .map_groups(contrib, batch_format="pandas")
-        .to_pandas()  # ≤ sources × vocab rows
-    )
+    docs = read(sf_dir, "documents", ["text", "source"]).map_batches(partials, batch_format="pandas")
+    out = bucketed(docs, "token", contrib).to_pandas()  # ≤ sources × vocab rows
     return out.sort_values(["source", "token"]).reset_index(drop=True)
 
 
@@ -522,14 +499,14 @@ ORDER BY source, token
 # integer-exact, O(sources) driver state, never O(docs).
 
 
-def interleave_order(sf_dir: str, nbuckets: int = 512):
+def interleave_order(sf_dir: str, nbuckets: int = SHUFFLE_BUCKETS):
     """→ (doc_id, source, rnk, position) sorted by doc_id; `rnk` is the
     doc's 0-based rank within its source (doc_id order), `position` its
     0-based slot in the interleaved global schedule."""
     return interleave_over(read(sf_dir, "documents", ["doc_id", "source"]), nbuckets)
 
 
-def interleave_over(docs, nbuckets: int = 512):
+def interleave_over(docs, nbuckets: int = SHUFFLE_BUCKETS):
     """Pandas-collected form of the interleave core (the standalone gate):
     `docs` carries (doc_id, source)."""
     ds = interleave_over_ds(docs, nbuckets)
@@ -539,7 +516,7 @@ def interleave_over(docs, nbuckets: int = 512):
     return out.sort_values("doc_id").reset_index(drop=True)
 
 
-def interleave_over_ds(docs, nbuckets: int = 512):
+def interleave_over_ds(docs, nbuckets: int = SHUFFLE_BUCKETS):
     """LAZY Dataset core of interleave_order: → (doc_id, source, rnk,
     position), unsorted.  Returns None on an empty input (Ray drops the
     block schema there).  Driver traffic is bounded: the only collects are
@@ -634,8 +611,8 @@ FROM r ORDER BY doc_id
 # counts — one strict row per language.
 #
 # Scale shape: ONE corpus read + one tokenizer pass; totals are combiner
-# partials riding bucket -1 of the same shuffle; distinct
-# tokens ride the fixed 512-bucket token shuffle (per-bucket distinct
+# partials riding the same shuffle (key "", summed wherever they land);
+# distinct tokens ride the bucketed token shuffle (per-bucket distinct
 # (lang, token) counts sum exactly because buckets partition the token
 # space); duplicate docs come from md5-signature partials through the same
 # bucketed merge (distinct signatures per lang).  Driver traffic is
@@ -649,9 +626,8 @@ def corpus_datacard(sf_dir: str):
     import hashlib
 
     # ONE read + ONE tokenizer run: each batch emits three row kinds into
-    # the same bucketed frame — "z" totals partials (bucket −1, summed),
-    # "t" distinct (lang, token) rows, "s" distinct (lang, md5) rows (the
-    # shared _token_bucket vectorized bucketer partitions both key spaces)
+    # the same bucketed frame — "z" totals partials (key "", summed), "t"
+    # distinct (lang, token) rows, "s" distinct (lang, md5) rows
     def rows(batch: pd.DataFrame) -> pd.DataFrame:
         doc_idx, codes, uniq, counts = _explode_tokens(batch["text"])
         langs = batch["lang"].to_numpy()
@@ -665,44 +641,36 @@ def corpus_datacard(sf_dir: str):
         ).groupby("lang", as_index=False).sum()
         tot["kind"] = "z"
         tot["key"] = ""
-        tot["bucket"] = np.int64(-1)
         frames = [tot]
         if codes.size:
             t = pd.DataFrame({"lang": langs[doc_idx], "key": uniq[codes]}).drop_duplicates()
             t["kind"] = "t"
-            t["bucket"] = _token_bucket(t["key"].to_numpy(dtype=object))
             for c in ("n_docs", "n_tokens", "n_chars"):
                 t[c] = np.int64(0)
             frames.append(t)
         sigs = batch["text"].map(lambda x: hashlib.md5(x.encode()).hexdigest())
         sg = pd.DataFrame({"lang": langs, "key": sigs}).drop_duplicates()
         sg["kind"] = "s"
-        sg["bucket"] = _token_bucket(sg["key"].to_numpy(dtype=object))
         for c in ("n_docs", "n_tokens", "n_chars"):
             sg[c] = np.int64(0)
         frames.append(sg)
-        cols = ["kind", "lang", "key", "bucket", "n_docs", "n_tokens", "n_chars"]
+        cols = ["kind", "lang", "key", "n_docs", "n_tokens", "n_chars"]
         return pd.concat([f[cols] for f in frames], ignore_index=True)
 
     def bucket_merge(g: pd.DataFrame) -> pd.DataFrame:
-        if (g["kind"] == "z").any():  # bucket −1: totals partials
-            t = g.groupby("lang", as_index=False)[["n_docs", "n_tokens", "n_chars"]].sum()
-            t["kind"] = "z"
-            t["cnt"] = np.int64(0)
-            return t[["kind", "lang", "n_docs", "n_tokens", "n_chars", "cnt"]]
-        d = g.drop_duplicates(["kind", "lang", "key"])
+        z = g["kind"].to_numpy() == "z"
+        t = g[z].groupby("lang", as_index=False)[["n_docs", "n_tokens", "n_chars"]].sum()
+        t["kind"] = "z"
+        t["cnt"] = np.int64(0)
+        d = g[~z].drop_duplicates(["kind", "lang", "key"])
         out = d.groupby(["kind", "lang"], as_index=False).agg(cnt=("key", "size"))
         for c in ("n_docs", "n_tokens", "n_chars"):
             out[c] = np.int64(0)
-        return out[["kind", "lang", "n_docs", "n_tokens", "n_chars", "cnt"]]
+        cols = ["kind", "lang", "n_docs", "n_tokens", "n_chars", "cnt"]
+        return pd.concat([t[cols], out[cols]], ignore_index=True)
 
-    parts = (
-        read(sf_dir, "documents", ["lang", "text", "n_chars"])
-        .map_batches(rows, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(bucket_merge, batch_format="pandas")
-        .to_pandas()
-    )
+    docs = read(sf_dir, "documents", ["lang", "text", "n_chars"]).map_batches(rows, batch_format="pandas")
+    parts = bucketed(docs, "key", bucket_merge).to_pandas()
     if "kind" not in parts.columns:
         return pd.DataFrame(
             {c: [] for c in ("lang", "n_docs", "n_tokens", "n_chars", "distinct_tokens", "dup_docs", "mean_doc_tokens")}

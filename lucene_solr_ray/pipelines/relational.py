@@ -12,7 +12,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .common import Pipeline, cents, merge_partials, read, ts_us
+from .common import Pipeline, bucketed, cents, merge_partials, read, ts_us
 
 # --------------------------------------------------------------------------
 # §2.6 field facet (SimpleFacets / FacetComponent): group-by-term counts,
@@ -473,9 +473,9 @@ ORDER BY l_orderkey, l_linenumber
 # counting each PARENT once per bucket no matter how many of its children
 # carry the value.  Shape: broadcast the matching parent keys (the query
 # result), one child stream pass emits per-batch-deduped (bucket-value,
-# parent) pairs, and a fixed 512-bucket shuffle on hash(parent) dedups
-# across batches — per-bucket distinct counts merge on the driver (facet
-# domain × 512 rows).  Never keyed by the unbounded parent id space.
+# parent) pairs, and a bucketed shuffle on the parent key dedups across
+# batches — per-bucket distinct counts merge on the driver (facet domain ×
+# buckets rows).
 
 
 def blockjoin_facet(sf_dir: str):
@@ -498,24 +498,17 @@ def blockjoin_facet(sf_dir: str):
         ok = batch["l_orderkey"].to_numpy()
         pos = np.clip(np.searchsorted(ks, ok), 0, max(ks.size - 1, 0))
         m = ks[pos] == ok if ks.size else np.zeros(ok.size, bool)
-        pairs = pd.DataFrame(
+        return pd.DataFrame(
             {"l_returnflag": batch["l_returnflag"].to_numpy()[m], "l_orderkey": ok[m]}
         ).drop_duplicates()
-        pairs["bucket"] = pairs["l_orderkey"] % 512
-        return pairs
 
     def count_distinct(g: pd.DataFrame) -> pd.DataFrame:
         u = g.drop_duplicates(["l_returnflag", "l_orderkey"])
         out = u.groupby("l_returnflag", as_index=False).size()
         return out.rename(columns={"size": "n_parents"})
 
-    parts = (
-        read(sf_dir, "lineitem", ["l_orderkey", "l_returnflag"])
-        .map_batches(child_pairs, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(count_distinct, batch_format="pandas")
-        .to_pandas()
-    )
+    li = read(sf_dir, "lineitem", ["l_orderkey", "l_returnflag"])
+    parts = bucketed(li.map_batches(child_pairs, batch_format="pandas"), "l_orderkey", count_distinct).to_pandas()
     out = parts.groupby("l_returnflag", as_index=False)["n_parents"].sum()
     out["n_parents"] = out["n_parents"].astype("int64")
     return out.sort_values("l_returnflag").reset_index(drop=True)
@@ -534,34 +527,27 @@ GROUP BY l_returnflag ORDER BY l_returnflag
 # SimpleFacets.java getGroupedCounts + grouping/TermGroupFacetCollector):
 # group.facet=true — each GROUP counts once toward a facet value if ANY of
 # its docs carries the value.  Shape: per-batch (value, group) dedup →
-# fixed-bucket shuffle on the group key → per-bucket distinct counts →
+# bucketed shuffle on the group key → per-bucket distinct counts →
 # bounded coordinator merge (the uniqueBlock design, group key unbounded).
 
 
 def group_facet(sf_dir: str):
     def pairs(batch: pd.DataFrame) -> pd.DataFrame:
         m = batch["o_orderstatus"].to_numpy() == "O"
-        out = pd.DataFrame(
+        return pd.DataFrame(
             {
                 "o_orderpriority": batch["o_orderpriority"].to_numpy()[m],
                 "o_custkey": batch["o_custkey"].to_numpy()[m],
             }
         ).drop_duplicates()
-        out["bucket"] = out["o_custkey"] % 512
-        return out
 
     def count_distinct(g: pd.DataFrame) -> pd.DataFrame:
         u = g.drop_duplicates(["o_orderpriority", "o_custkey"])
         out = u.groupby("o_orderpriority", as_index=False).size()
         return out.rename(columns={"size": "n_groups"})
 
-    parts = (
-        read(sf_dir, "orders", ["o_custkey", "o_orderpriority", "o_orderstatus"])
-        .map_batches(pairs, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(count_distinct, batch_format="pandas")
-        .to_pandas()
-    )
+    gp = read(sf_dir, "orders", ["o_custkey", "o_orderpriority", "o_orderstatus"])
+    parts = bucketed(gp.map_batches(pairs, batch_format="pandas"), "o_custkey", count_distinct).to_pandas()
     out = parts.groupby("o_orderpriority", as_index=False)["n_groups"].sum()
     out["n_groups"] = out["n_groups"].astype("int64")
     return out.sort_values("o_orderpriority").reset_index(drop=True)
@@ -686,38 +672,38 @@ ORDER BY grp, o_orderkey
 # group.ngroups=true (solr/core/.../search/grouping/ GroupingSpecification /
 # TopGroupsResultTransformer): the grouped response carries the TOTAL
 # distinct group count alongside the returned page of groups.  Shape: the
-# collapse combiner (per-batch best-per-key, fixed 512-bucket shuffle);
-# each bucket emits its top-10 partial PLUS its distinct-group count, so
-# the driver merge sees ≤ 11·512 rows — ngroups is the sum of per-bucket
-# counts (buckets partition the key space), never a driver-side distinct.
+# collapse combiner (per-batch best-per-key, bucketed shuffle); each bucket
+# emits its top-10 partial and carries its distinct-group count on its
+# first row, so the driver merge sees ≤ 10 rows per bucket — ngroups is
+# the sum of per-bucket counts (buckets partition the key space), never a
+# driver-side distinct.
+
+_COLLAPSE_COLS = ["o_custkey", "o_orderkey", "o_totalprice"]
+
+
+def _best_per_custkey(b: pd.DataFrame) -> pd.DataFrame:
+    """Highest-priced order per o_custkey (ties → lowest o_orderkey)."""
+    b = b.sort_values(["o_totalprice", "o_orderkey"], ascending=[False, True])
+    return b.drop_duplicates("o_custkey")[_COLLAPSE_COLS]
+
+
+def _collapsed(sf_dir: str, merge):
+    orders = read(sf_dir, "orders", _COLLAPSE_COLS).map_batches(_best_per_custkey, batch_format="pandas")
+    return bucketed(orders, "o_custkey", merge).to_pandas()
 
 
 def group_ngroups(sf_dir: str):
-    def local_best(batch: pd.DataFrame) -> pd.DataFrame:
-        b = batch.sort_values(["o_totalprice", "o_orderkey"], ascending=[False, True])
-        out = b.drop_duplicates("o_custkey").copy()
-        out["bucket"] = out["o_custkey"] % 512
-        return out
-
     def merge(g: pd.DataFrame) -> pd.DataFrame:
-        b = g.sort_values(["o_totalprice", "o_orderkey"], ascending=[False, True])
-        b = b.drop_duplicates("o_custkey")
+        b = _best_per_custkey(g)
         out = b.sort_values(["o_totalprice", "o_custkey"], ascending=[False, True]).head(10)
-        out = out.drop(columns=["bucket"]).copy()
-        out["ng_part"] = np.int64(len(b))
-        out["bucket"] = np.int64(g["bucket"].iloc[0])
-        return out
+        ng = np.zeros(len(out), dtype=np.int64)
+        ng[:1] = len(b)
+        return out.assign(ng_part=ng)
 
-    parts = (
-        read(sf_dir, "orders", ["o_custkey", "o_orderkey", "o_totalprice"])
-        .map_batches(local_best, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(merge, batch_format="pandas")
-        .to_pandas()
-    )
-    ngroups = int(parts.drop_duplicates("bucket")["ng_part"].sum())
+    parts = _collapsed(sf_dir, merge)
+    ngroups = int(parts["ng_part"].sum())
     top = parts.sort_values(["o_totalprice", "o_custkey"], ascending=[False, True]).head(10)
-    top = top.drop(columns=["ng_part", "bucket"]).copy()
+    top = top.drop(columns=["ng_part"])
     top["ngroups"] = np.int64(ngroups)
     return top.sort_values("o_custkey").reset_index(drop=True)
 
@@ -795,26 +781,9 @@ FROM f GROUP BY 1 ORDER BY 1
 
 
 def collapse_best(sf_dir: str):
-    # two-stage: per-batch local best per key (combiner), then a FIXED
-    # 512-bucket shuffle whose groups merge the locals in pandas — never a
-    # shuffle keyed by the (unbounded) collapse field itself
-    def local_best(batch: pd.DataFrame) -> pd.DataFrame:
-        b = batch.sort_values(["o_totalprice", "o_orderkey"], ascending=[False, True])
-        out = b.drop_duplicates("o_custkey").copy()
-        out["bucket"] = out["o_custkey"] % 512
-        return out
-
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
-        b = g.sort_values(["o_totalprice", "o_orderkey"], ascending=[False, True])
-        return b.drop_duplicates("o_custkey").drop(columns=["bucket"])
-
-    out = (
-        read(sf_dir, "orders", ["o_custkey", "o_orderkey", "o_totalprice"])
-        .map_batches(local_best, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(merge, batch_format="pandas")
-        .to_pandas()
-    )
+    # per-batch local best per key (combiner), then the bucketed shuffle
+    # merges the locals in pandas
+    out = _collapsed(sf_dir, _best_per_custkey)
     return out.sort_values("o_custkey").reset_index(drop=True)
 
 
@@ -1036,32 +1005,26 @@ ORDER BY o_totalprice DESC, o_orderkey LIMIT 10 OFFSET 20
 # index with cumulative fraction ≥ q — a raw value, so bit-exact.
 
 
-def percentile_disc(sf_dir: str):
-    """Exact discrete percentiles WITHOUT a full sort or driver
-    materialization: distributed value-counts keyed on the raw float64
-    values (bit-exact — quantile_disc returns an existing value), then the
-    driver walks the (distinct-value, count) histogram — driver memory is
-    bounded by the distinct-value count, never the row count."""
+def _value_counts(sf_dir: str, table: str, cols: list[str]) -> pd.DataFrame:
+    """Distributed (cols…, n) value-count histogram, bucketed on the last
+    column (the raw value — bit-exact, quantiles return existing values);
+    driver rows = distinct values, never the row count."""
     def vc(batch: pd.DataFrame) -> pd.DataFrame:
-        vals, counts = np.unique(batch["l_extendedprice"].to_numpy(), return_counts=True)
-        # SHUFFLE key is a fixed-width bucket of the value bits — never
-        # shuffle by the (distinct-value-sized) raw key; real values are
-        # merged in pandas inside each bucket group
-        bucket = (vals.view(np.int64) >> np.int64(20)) % np.int64(512)
-        return pd.DataFrame({"bucket": bucket, "v": vals, "n": counts})
+        return batch.groupby(cols, as_index=False).size().rename(columns={"size": "n"})
 
     def merge_counts(g: pd.DataFrame) -> pd.DataFrame:
-        return g.groupby("v", as_index=False)["n"].sum()
+        return g.groupby(cols, as_index=False)["n"].sum()
 
-    hist = (
-        read(sf_dir, "lineitem", ["l_extendedprice"])
-        .map_batches(vc, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(merge_counts, batch_format="pandas")
-        .to_pandas()
-        .sort_values("v")
-    )
-    v = hist["v"].to_numpy()
+    parts = read(sf_dir, table, cols).map_batches(vc, batch_format="pandas")
+    return bucketed(parts, cols[-1], merge_counts).to_pandas().sort_values(cols)
+
+
+def percentile_disc(sf_dir: str):
+    """Exact discrete percentiles WITHOUT a full sort or driver
+    materialization: the driver walks the distributed (distinct-value,
+    count) histogram."""
+    hist = _value_counts(sf_dir, "lineitem", ["l_extendedprice"])
+    v = hist["l_extendedprice"].to_numpy()
     n = hist["n"].to_numpy()
     cum = np.cumsum(n)
     total = int(cum[-1])
@@ -1087,23 +1050,8 @@ def percentile_cont(sf_dir: str):
     statistics at h = q·(n−1) are read from the histogram walk, then
     blended with DuckDB's own interpolation `lo·(1−frac) + hi·frac`
     (verified formula — `lo + frac·(hi−lo)` differs in the last ulp)."""
-    def vc(batch: pd.DataFrame) -> pd.DataFrame:
-        vals, counts = np.unique(batch["l_extendedprice"].to_numpy(), return_counts=True)
-        bucket = (vals.view(np.int64) >> np.int64(20)) % np.int64(512)
-        return pd.DataFrame({"bucket": bucket, "v": vals, "n": counts})
-
-    def merge_counts(g: pd.DataFrame) -> pd.DataFrame:
-        return g.groupby("v", as_index=False)["n"].sum()
-
-    hist = (
-        read(sf_dir, "lineitem", ["l_extendedprice"])
-        .map_batches(vc, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(merge_counts, batch_format="pandas")
-        .to_pandas()
-        .sort_values("v")
-    )
-    v = hist["v"].to_numpy()
+    hist = _value_counts(sf_dir, "lineitem", ["l_extendedprice"])
+    v = hist["l_extendedprice"].to_numpy()
     cum = np.cumsum(hist["n"].to_numpy())
     total = int(cum[-1])
 
@@ -1591,34 +1539,15 @@ FROM r
 
 # --------------------------------------------------------------------------
 # Percentiles INSIDE facet buckets (StatsComponent facet.stats /
-# PercentileAgg under a terms facet): distributed (group, value) counts
-# with a fixed-bucket shuffle; the driver walks each group's histogram —
-# driver rows = distinct values per group, never row counts.
+# PercentileAgg under a terms facet): distributed (group, value) counts;
+# the driver walks each group's histogram — driver rows = distinct values
+# per group, never row counts.
 
 
 def group_percentile(sf_dir: str):
-    def vc(batch: pd.DataFrame) -> pd.DataFrame:
-        g = (
-            batch.groupby(["c_mktsegment", "c_acctbal"], as_index=False)
-            .size()
-            .rename(columns={"size": "n"})
-        )
-        g["bucket"] = (g["c_acctbal"].to_numpy().view(np.int64) >> np.int64(20)) % np.int64(512)
-        return g
-
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
-        return g.groupby(["c_mktsegment", "c_acctbal"], as_index=False)["n"].sum()
-
-    hist = (
-        read(sf_dir, "customer", ["c_mktsegment", "c_acctbal"])
-        .map_batches(vc, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(merge, batch_format="pandas")
-        .to_pandas()
-    )
+    hist = _value_counts(sf_dir, "customer", ["c_mktsegment", "c_acctbal"])
     rows = []
     for seg, g in hist.groupby("c_mktsegment"):
-        g = g.sort_values("c_acctbal")
         v = g["c_acctbal"].to_numpy()
         cum = np.cumsum(g["n"].to_numpy())
         total = int(cum[-1])
@@ -1859,12 +1788,6 @@ def asof_join(sf_dir: str):
         batch_format="pandas",
     )
 
-    def add_bucket(b: pd.DataFrame) -> pd.DataFrame:
-        b["bucket"] = (b["key"] % _ASOF_BUCKETS).astype("int32")
-        return b
-
-    both = left.union(right).map_batches(add_bucket, batch_format="pandas")
-
     def join_bucket(g: pd.DataFrame) -> pd.DataFrame:
         l = g[g["side"] == 0][["key", "t", "event_id"]].sort_values("t", kind="mergesort")
         # one sort suffices: ordered by (t, o_orderkey), same-(key,t) rows
@@ -1894,7 +1817,7 @@ def asof_join(sf_dir: str):
             }
         )
 
-    out = both.groupby("bucket").map_groups(join_bucket, batch_format="pandas").to_pandas()
+    out = bucketed(left.union(right), "key", join_bucket, _ASOF_BUCKETS).to_pandas()
     return out.sort_values("event_id").reset_index(drop=True)
 
 

@@ -139,7 +139,7 @@ def _pdf_streams(b: bytes):
     """Yield decoded stream payloads (Flate or plain)."""
     for m in _STREAM_RE.finditer(b):
         d, start = m.group(1), m.end()
-        lm = re.search(rb"/Length\s+(\d+)(?!\s+0\s+R)", d)
+        lm = re.search(rb"/Length\s+(\d+)(?!\d)(?!\s+0\s+R)", d)
         if lm:
             data = b[start : start + int(lm.group(1))]
         else:  # indirect /Length: fall back to the endstream keyword
@@ -898,6 +898,7 @@ def extract_rtf_metadata(b: bytes) -> dict:
 
 class _HTMLText(HTMLParser):
     _BLOCK = {"p", "br", "div", "li", "tr", "h1", "h2", "h3", "h4", "h5", "h6"}
+    _HEAD = {"html", "head", "title", "meta", "link", "base", "script", "style", "noscript", "template"}
 
     def __init__(self):
         super().__init__(convert_charrefs=True)
@@ -906,14 +907,19 @@ class _HTMLText(HTMLParser):
         self.author: str | None = None
         self.saw_title = False
         self._skip = 0
+        self._in_head = 0
         self._in_title = 0
 
     def handle_starttag(self, tag, attrs):
+        if tag not in self._HEAD:
+            # body-level content implicitly closes an unterminated head/title
+            self._in_head = self._in_title = 0
         if tag == "title":
             self.saw_title = True
             self._in_title += 1
-            self._skip += 1
-        elif tag in ("script", "style", "head"):
+        elif tag == "head":
+            self._in_head += 1
+        elif tag in ("script", "style"):
             self._skip += 1
         elif tag == "meta":
             d = dict(attrs)
@@ -926,14 +932,15 @@ class _HTMLText(HTMLParser):
     def handle_endtag(self, tag):
         if tag == "title" and self._in_title:
             self._in_title -= 1
-            self._skip -= 1
-        elif tag in ("script", "style", "head") and self._skip:
+        elif tag == "head" and self._in_head:
+            self._in_head -= 1
+        elif tag in ("script", "style") and self._skip:
             self._skip -= 1
 
     def handle_data(self, data):
         if self._in_title:
             self.title_chunks.append(data)
-        elif not self._skip and data:
+        elif not (self._skip or self._in_head) and data:
             self.chunks.append(data)
 
 

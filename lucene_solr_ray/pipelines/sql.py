@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import pandas as pd
 
-from .common import Pipeline, read
+from .common import Pipeline, bucketed, read
 
 # --------------------------------------------------------------------------
 # Tokenizer
@@ -909,11 +909,11 @@ def _execute_select(sf_dir: str, stmt: Select) -> pd.DataFrame:
                 merged = parts.agg(merge_ops).to_frame().T if len(parts) else parts
         aggcol = {k: v for k, v in plan.items()}
 
-        # COUNT(DISTINCT x): per-batch distinct (group, value) pairs,
-        # bucketed by hash(value) into a FIXED shuffle domain (buckets
-        # partition the value space, so per-bucket distinct counts sum
-        # exactly); the driver only ever sees buckets × groups count rows,
-        # never the distinct-pair domain (which is vocabulary-sized).
+        # COUNT(DISTINCT x): per-batch distinct (group, value) pairs through
+        # the bucketed shuffle on the value (buckets partition the value
+        # space, so per-bucket distinct counts sum exactly); the driver only
+        # ever sees buckets × groups count rows, never the distinct-pair
+        # domain (which is vocabulary-sized).
         for dkey, a in dist_by_key.items():
             colname = f"dcnt{dkey}"
 
@@ -924,11 +924,7 @@ def _execute_select(sf_dir: str, stmt: Select) -> pd.DataFrame:
                 for k in gb:
                     g[k] = np.asarray(_eval(stmt.group_exprs[k], batch)) if k in stmt.group_exprs else batch[k]
                 g["_v"] = _eval(_a.arg, batch)
-                g = g.dropna(subset=["_v"]).drop_duplicates()
-                g["__gb"] = (
-                    pd.util.hash_array(g["_v"].astype(str).to_numpy()) % 512
-                ).astype("int64")
-                return g
+                return g.dropna(subset=["_v"]).drop_duplicates()
 
             def bucket_count(grp: pd.DataFrame) -> pd.DataFrame:
                 d = grp.drop_duplicates(subset=gb + ["_v"]) if gb else grp.drop_duplicates(subset=["_v"])
@@ -938,12 +934,7 @@ def _execute_select(sf_dir: str, stmt: Select) -> pd.DataFrame:
                     out = pd.DataFrame({colname: [len(d)]})
                 return out
 
-            parts_d = (
-                ds.map_batches(dpart, batch_format="pandas")
-                .groupby("__gb")
-                .map_groups(bucket_count, batch_format="pandas")
-                .to_pandas()
-            )
+            parts_d = bucketed(ds.map_batches(dpart, batch_format="pandas"), "_v", bucket_count).to_pandas()
             if gb:
                 if parts_d.empty and not all(k in parts_d.columns for k in gb):
                     parts_d = pd.DataFrame({**{k: pd.Series([], dtype=object) for k in gb},

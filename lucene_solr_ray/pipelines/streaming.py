@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from .common import Pipeline, read, ts_us
+from .common import Pipeline, bucketed, read, ts_us
 
 SESSION_GAP_US = 1_800_000_000  # 30 min
 
@@ -19,15 +19,9 @@ SESSION_GAP_US = 1_800_000_000  # 30 min
 def sessionize(sf_dir: str):
     """Per-user session count + max session length (30-min inactivity gap).
 
-    The SHUFFLE keys a fixed 512-bucket hash of user_id (a user's history
-    must be co-located, but never key the exchange by the raw user space);
-    inside each bucket the gap/session logic is one vectorized pass over
-    the (user, ts)-sorted rows."""
-
-    def add_bucket(batch: pd.DataFrame) -> pd.DataFrame:
-        out = batch.copy()
-        out["bucket"] = out["user_id"] % 512
-        return out
+    A user's history is co-located by the bucketed shuffle; inside each
+    bucket the gap/session logic is one vectorized pass over the
+    (user, ts)-sorted rows."""
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"])
@@ -53,13 +47,7 @@ def sessionize(sf_dir: str):
             }
         )
 
-    out = (
-        read(sf_dir, "events", ["user_id", "event_id", "ts"])
-        .map_batches(add_bucket, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(per_bucket, batch_format="pandas")
-        .to_pandas()
-    )
+    out = bucketed(read(sf_dir, "events", ["user_id", "event_id", "ts"]), "user_id", per_bucket).to_pandas()
     out["n_sessions"] = out["n_sessions"].astype("int64")
     out["max_session_events"] = out["max_session_events"].astype("int64")
     return out.sort_values("user_id").reset_index(drop=True)
@@ -241,7 +229,7 @@ def left_outer_enrich(sf_dir: str):
     """LEFT OUTER join (Ray native hash join): every customer with its
     order count/revenue, zero for customers without orders — the
     OuterHashJoinStream analog.  The per-customer pre-aggregate runs as
-    a fixed-bucket map_groups shuffle (per-key sums inside the bucket),
+    a `bucketed` shuffle (per-key sums inside the bucket),
     NOT a Ray Aggregate — the Aggregate op carries a 2-4 s fixed cost on
     this box (CLAUDE.md), and the join must see ONE row per key or the
     left join would duplicate customers."""
@@ -255,18 +243,12 @@ def left_outer_enrich(sf_dir: str):
         g = pd.DataFrame(
             {"o_custkey": batch["o_custkey"], "revenue_cents": cents(batch["o_totalprice"].to_numpy()), "n_orders": 1}
         )
-        g = g.groupby("o_custkey", as_index=False).sum()
-        g["bucket"] = (g["o_custkey"] % 512).astype("int32")
-        return g
+        return g.groupby("o_custkey", as_index=False).sum()
 
     def combine(g: pd.DataFrame) -> pd.DataFrame:
         return g.groupby("o_custkey", as_index=False)[["revenue_cents", "n_orders"]].sum()
 
-    per_cust = (
-        orders.map_batches(pre, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(combine, batch_format="pandas")
-    )
+    per_cust = bucketed(orders.map_batches(pre, batch_format="pandas"), "o_custkey", combine)
     cust = read(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
     cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
     joined = cust.join(
@@ -295,19 +277,16 @@ GROUP BY c_custkey, c_mktsegment ORDER BY c_custkey
 # Cohort retention (the classic time-series analytics table; engine analog
 # of a TimeSeriesStream × gatherNodes composition): users grouped by their
 # first-activity day, counted once per subsequent active day.  Users
-# are co-located by the fixed 512-bucket hash, so every per-bucket partial
+# are co-located by the bucketed shuffle, so every per-bucket partial
 # (cohort day, day offset, distinct users) is EXACT and the driver
 # merge handles cohorts × offsets × buckets ints only.
 
 
 def cohort_retention(sf_dir: str):
-    def add_bucket(batch: pd.DataFrame) -> pd.DataFrame:
+    def user_days(batch: pd.DataFrame) -> pd.DataFrame:
         us = ts_us(batch["ts"])
         days = (us.astype("datetime64[us]").astype("datetime64[D]")).astype(np.int64)
-        out = pd.DataFrame({"user_id": batch["user_id"].to_numpy(), "m": days})
-        out = out.drop_duplicates()
-        out["bucket"] = out["user_id"] % 512
-        return out
+        return pd.DataFrame({"user_id": batch["user_id"].to_numpy(), "m": days}).drop_duplicates()
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.drop_duplicates(["user_id", "m"])
@@ -318,13 +297,8 @@ def cohort_retention(sf_dir: str):
         out = pairs.groupby(["cohort_d", "offset_d"], as_index=False).size()
         return out.rename(columns={"size": "n_users"})
 
-    parts = (
-        read(sf_dir, "events", ["user_id", "ts"])
-        .map_batches(add_bucket, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(per_bucket, batch_format="pandas")
-        .to_pandas()
-    )
+    days = read(sf_dir, "events", ["user_id", "ts"]).map_batches(user_days, batch_format="pandas")
+    parts = bucketed(days, "user_id", per_bucket).to_pandas()
     out = parts.groupby(["cohort_d", "offset_d"], as_index=False)["n_users"].sum()
     # days since epoch → midnight timestamp (DuckDB date_trunc twin)
     out["cohort"] = out["cohort_d"].to_numpy().astype("datetime64[D]").astype("datetime64[us]")
@@ -352,18 +326,17 @@ GROUP BY cohort, offset_d ORDER BY cohort, offset_d
 # Funnel conversion (ordered event-sequence matching — the event-log analog
 # of a chained gatherNodes walk): per user, the first `view`, the first
 # `click` strictly after it, the first `purchase` strictly after that.
-# Users co-located by the fixed bucket hash → per-bucket step flags are
+# Users co-located by the bucketed shuffle → per-bucket step flags are
 # exact; the driver merges 3 ints per bucket.
 
 FUNNEL_STEPS = ("view", "click", "purchase")
 
 
 def funnel_conversion(sf_dir: str):
-    def add_bucket(batch: pd.DataFrame) -> pd.DataFrame:
+    def steps(batch: pd.DataFrame) -> pd.DataFrame:
         m = batch["event_type"].isin(FUNNEL_STEPS)
         out = batch.loc[m, ["user_id", "event_type"]].copy()
         out["us"] = ts_us(batch.loc[m, "ts"])
-        out["bucket"] = out["user_id"] % 512
         return out
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
@@ -387,13 +360,8 @@ def funnel_conversion(sf_dir: str):
             {"step": np.arange(len(FUNNEL_STEPS), dtype=np.int64), "n_users": counts}
         )
 
-    parts = (
-        read(sf_dir, "events", ["user_id", "event_type", "ts"])
-        .map_batches(add_bucket, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(per_bucket, batch_format="pandas")
-        .to_pandas()
-    )
+    ev = read(sf_dir, "events", ["user_id", "event_type", "ts"]).map_batches(steps, batch_format="pandas")
+    parts = bucketed(ev, "user_id", per_bucket).to_pandas()
     out = parts.groupby("step", as_index=False)["n_users"].sum()
     out["step_name"] = [FUNNEL_STEPS[i] for i in out["step"]]
     out["n_users"] = out["n_users"].astype("int64")

@@ -50,7 +50,7 @@ from typing import Any, Callable
 import numpy as np
 import pandas as pd
 
-from .common import Pipeline, merge_partials, read
+from .common import BUCKET_COL, Pipeline, bucketed, merge_partials, read
 
 # --------------------------------------------------------------------------
 # Parser (StreamExpressionParser analog)
@@ -857,17 +857,13 @@ def _drill(ctx: Ctx, e: Expr) -> SRes:
             merge_ops[f"__{m.op}_{m.col}"] = m.op
     if need_n:
         merge_ops["__n"] = "sum"
-    n_buckets = 64
 
     def partial(batch: pd.DataFrame) -> pd.DataFrame:
         gb = batch.groupby(over, as_index=False, sort=False)
         aggs = dict(named)
         if need_n:
             aggs["__n"] = (over[0], "size")
-        out = gb.agg(**aggs)
-        h = pd.util.hash_pandas_object(out[over].astype(str), index=False).to_numpy()
-        out["__gb"] = (h % n_buckets).astype(np.int64)
-        return out
+        return gb.agg(**aggs)
 
     def merge(g: pd.DataFrame) -> pd.DataFrame:
         merged = g.groupby(over, as_index=False).agg(merge_ops)
@@ -891,19 +887,17 @@ def _drill(ctx: Ctx, e: Expr) -> SRes:
         else None
     )
     if ds is None:
-        return SRes(df=merge(partial(inner.df)).drop(columns="__gb", errors="ignore"))
-    out_ds = ds.groupby("__gb").map_groups(merge, batch_format="pandas")
-    return SRes(ds=out_ds, sort=[(c, True) for c in over])
+        return SRes(df=merge(partial(inner.df)))
+    return SRes(ds=bucketed(ds, over, merge, 64), sort=[(c, True) for c in over])
 
 
 def _significant_terms(ctx: Ctx, e: Expr) -> SRes:
     # SignificantTermsStream, fully parameterized: terms over-represented in
-    # the q-matching foreground vs the whole collection.  Vocabulary-keyed,
-    # so the per-doc-distinct token df partials go through a fixed-bucket
-    # shuffle (never a driver merge of the raw vocab).
+    # the q-matching foreground vs the whole collection (the registry
+    # significant_terms core, vocabulary never merged on the driver).
     import pyarrow.parquet as pq
 
-    from .text import _token_bucket, _tokens
+    from .text import significant_terms_over
 
     table = e.args[0]
     field_name = str(e.params.get("field", "text"))
@@ -911,43 +905,10 @@ def _significant_terms(ctx: Ctx, e: Expr) -> SRes:
     mindf = int(str(e.params.get("minDocFreq", 1)))
     schema = pq.read_schema(f"{ctx.sf_dir}/{table}.parquet")
     qcols, mask = _compile_q(str(e.params.get("q", "*:*")), schema)
-    n_buckets = 64  # map_groups fixed cost dominates at 512 (see lm.py)
-
-    def explode(batch: pd.DataFrame) -> pd.DataFrame:
-        toks = _tokens(batch[field_name]).map(lambda ws: sorted(set(ws)))
-        n = toks.map(len).to_numpy()
-        fg = mask(batch).astype(np.int64) if mask is not None else np.ones(len(batch), dtype=np.int64)
-        flat = pd.DataFrame(
-            {
-                "token": np.concatenate(toks.to_numpy()) if len(toks) else np.array([], dtype=object),
-                "fg": np.repeat(fg, n),
-            }
-        )
-        g = flat.groupby("token", as_index=False).agg(fg_df=("fg", "sum"), bg_df=("fg", "size"))
-        g["gb"] = _token_bucket(g["token"].to_numpy()) % n_buckets
-        return g
-
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
-        m = g.groupby("token", as_index=False).agg(fg_df=("fg_df", "sum"), bg_df=("bg_df", "sum"))
-        m = m[m["bg_df"] >= mindf]
-        if not len(m):
-            return m
-        ratio = m["fg_df"].to_numpy() / m["bg_df"].to_numpy()
-        return m.iloc[np.lexsort((m["token"].to_numpy(), -ratio))].head(limit)
-
     cols = list(dict.fromkeys([field_name] + qcols))
-    out = (
-        read(ctx.sf_dir, table, cols)
-        .map_batches(explode, batch_format="pandas")
-        .groupby("gb")
-        .map_groups(merge, batch_format="pandas")
-        .to_pandas()  # ≤ n_buckets × limit rows
-    )
-    out["fg_df"] = out["fg_df"].astype("int64")
-    out["bg_df"] = out["bg_df"].astype("int64")
-    ratio = out["fg_df"].to_numpy() / out["bg_df"].to_numpy()
-    out = out.iloc[np.lexsort((out["token"].to_numpy(), -ratio))].head(limit)
-    return SRes(df=out.reset_index(drop=True))
+    # 64 buckets: map_groups fixed cost dominates at 512 (see lm.py)
+    out = significant_terms_over(read(ctx.sf_dir, table, cols), field_name, mask, mindf, limit, 64)
+    return SRes(df=out)
 
 
 def _knn_search(ctx: Ctx, e: Expr) -> SRes:
@@ -1208,9 +1169,9 @@ def _reduce(ctx: Ctx, e: Expr) -> SRes:
     # group(sort=..., n=...) operation keeps the top-n tuples per key.
     # Top-n-per-key is a mergeable partial (per-batch groupby-head).  The
     # merge is keyed by the UNBOUNDED `by` domain, so Dataset inputs go
-    # through a fixed-bucket hash shuffle (buckets partition the keys —
-    # per-bucket top-n is exact) and the result STAYS a Dataset; only a
-    # bounded df input merges on the coordinator.
+    # through the bucketed shuffle (buckets partition the keys — per-bucket
+    # top-n is exact) and the result STAYS a Dataset; only a bounded df
+    # input merges on the coordinator.
     inner = _eval_stream_arg(ctx, _stream_args(e)[0])
     by = _split_fl(str(e.params["by"]))
     grp = next((a for a in e.args if isinstance(a, Expr) and a.name == "group"), None)
@@ -1227,23 +1188,10 @@ def _reduce(ctx: Ctx, e: Expr) -> SRes:
         out = _sorted_df(topn(inner.df), full).groupby(by, sort=False).head(n)
         return SRes(df=out.reset_index(drop=True), sort=full)
 
-    def bucketize(batch: pd.DataFrame) -> pd.DataFrame:
-        b = topn(batch).copy()
-        key = b[by[0]].astype(str).to_numpy() if len(by) == 1 else (
-            b[by].astype(str).agg("\x1f".join, axis=1).to_numpy()
-        )
-        b["__gb"] = (pd.util.hash_array(key) % 512).astype("int64")
-        return b
-
     def bucket_final(g: pd.DataFrame) -> pd.DataFrame:
-        out = _sorted_df(g, full).groupby(by, sort=False).head(n)
-        return out.drop(columns="__gb")
+        return topn(g).drop(columns=BUCKET_COL)
 
-    out_ds = (
-        inner.ds.map_batches(bucketize, batch_format="pandas")
-        .groupby("__gb")
-        .map_groups(bucket_final, batch_format="pandas")
-    )
+    out_ds = bucketed(inner.ds.map_batches(topn, batch_format="pandas"), by, bucket_final)
     return SRes(ds=out_ds, sort=full)
 
 

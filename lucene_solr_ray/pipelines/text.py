@@ -17,7 +17,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from .common import Pipeline, merge_partials, pool, read, ts_us
+from .common import SHUFFLE_BUCKETS, Pipeline, bucketed, merge_partials, pool, read, ts_us
 
 TOKEN_RE = "[a-z0-9_]+"
 # a small fixed stopword list shared literally with the SQL oracle
@@ -256,9 +256,10 @@ FROM documents ORDER BY doc_id
 # Training-data diversity report: distinct-n / type-token ratio per corpus
 # slice (the lexical-diversity side of the Gopher/RefinedWeb quality family;
 # distinct-1/2/3 are the standard corpus diversity metrics).  Key domain is
-# the n-gram vocabulary (unbounded) → per-batch dedup + fixed-bucket gram
+# the n-gram vocabulary (unbounded) → per-batch dedup + bucketed gram
 # shuffle with per-bucket distinct counts; token totals ride along as n=0
-# partial rows.  Only (source, n, count) partials ever reach the driver.
+# partial rows (gram "", summed wherever they land).  Only (source, n,
+# count) partials ever reach the driver.
 # The shuffle ships gram STRINGS (the exact-distinct contract the SQL twin
 # checks); at 100 TB swap the shuffle key to a 128-bit gram hash (same
 # buckets, collision odds ≪ 1) and the strings never leave the mappers.
@@ -290,11 +291,7 @@ def distinct_ngrams(sf_dir: str):
                 if g.size:
                     f = pd.DataFrame({"source": s, "n": np.int64(n), "gram": g, "cnt": np.int64(1)})
                     frames.append(f.drop_duplicates(["source", "n", "gram"]))
-        out = pd.concat(frames, ignore_index=True)
-        out["bucket"] = np.where(
-            out["n"].to_numpy() == 0, np.int64(0), _token_bucket(out["gram"].to_numpy(dtype=object))
-        )
-        return out
+        return pd.concat(frames, ignore_index=True)
 
     def bucket_partial(g: pd.DataFrame) -> pd.DataFrame:
         tot = g[g["n"] == 0].groupby("source", as_index=False)["cnt"].sum()
@@ -303,13 +300,8 @@ def distinct_ngrams(sf_dir: str):
         dc = d.groupby(["source", "n"], as_index=False).size().rename(columns={"size": "cnt"})
         return pd.concat([tot[["source", "n", "cnt"]], dc[["source", "n", "cnt"]]], ignore_index=True)
 
-    parts = (
-        read(sf_dir, "documents", ["source", "text"])
-        .map_batches(gram_rows, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(bucket_partial, batch_format="pandas")
-        .to_pandas()
-    )
+    grams = read(sf_dir, "documents", ["source", "text"]).map_batches(gram_rows, batch_format="pandas")
+    parts = bucketed(grams, "gram", bucket_partial).to_pandas()
     merged = parts.groupby(["source", "n"], as_index=False)["cnt"].sum()
     wide = merged.pivot_table(index="source", columns="n", values="cnt", fill_value=0).reset_index()
     wide.columns.name = None
@@ -374,17 +366,9 @@ FROM documents ORDER BY doc_id
 # §2.6 TermsComponent: global term/df enumeration, top 20 by (df desc, term).
 
 
-TOKEN_BUCKETS = 512  # fixed shuffle domain for vocabulary-keyed merges:
-# never key a Ray shuffle by the (unbounded) token space itself; tokens
-# hash into this bounded domain and real groupbys run in pandas per group
-# (the CLAUDE.md bucketed-shuffle rule).  Per-bucket TOP-K partials make
-# every driver merge output-bounded — the vocabulary never materializes.
-
-
-def _token_bucket(uniq: np.ndarray) -> np.ndarray:
-    """Deterministic vectorized token → bucket (pandas siphash, fixed key
-    — stable across worker processes, unlike builtin hash)."""
-    return (pd.util.hash_array(uniq.astype(object)) % TOKEN_BUCKETS).astype(np.int64)
+# Vocabulary-keyed merges go through `bucketed`; per-bucket TOP-K partials
+# make every driver merge output-bounded — the vocabulary never
+# materializes.
 
 
 def terms_component(sf_dir: str):
@@ -392,18 +376,10 @@ def terms_component(sf_dir: str):
         # partial df per batch: distinct (doc, token) → bincount per token
         doc_idx, codes, uniq, _ = _explode_tokens(batch["text"])
         if not codes.size:
-            return pd.DataFrame(
-                {
-                    "token": pd.Series([], dtype=object),
-                    "df": pd.Series([], dtype="int64"),
-                    "gb": pd.Series([], dtype="int64"),
-                }
-            )
+            return pd.DataFrame({"token": pd.Series([], dtype=object), "df": pd.Series([], dtype="int64")})
         ucode = np.unique(doc_idx * np.int64(uniq.size) + codes) % np.int64(uniq.size)
         df_part = np.bincount(ucode, minlength=uniq.size)
-        return pd.DataFrame(
-            {"token": uniq, "df": df_part.astype("int64"), "gb": _token_bucket(uniq)}
-        )
+        return pd.DataFrame({"token": uniq, "df": df_part.astype("int64")})
 
     def merge(g: pd.DataFrame) -> pd.DataFrame:
         m = g.groupby("token", as_index=False)["df"].sum()
@@ -411,13 +387,8 @@ def terms_component(sf_dir: str):
         # per-bucket top-k (each token lives in exactly one bucket)
         return m.sort_values(["df", "token"], ascending=[False, True]).head(20)
 
-    out = (
-        read(sf_dir, "documents", ["text"])
-        .map_batches(explode, batch_format="pandas")
-        .groupby("gb")
-        .map_groups(merge, batch_format="pandas")
-        .to_pandas()  # ≤ TOKEN_BUCKETS × 20 rows
-    )
+    docs = read(sf_dir, "documents", ["text"]).map_batches(explode, batch_format="pandas")
+    out = bucketed(docs, "token", merge).to_pandas()  # ≤ buckets × 20 rows
     out["df"] = out["df"].astype("int64")
     return (
         out.sort_values(["df", "token"], ascending=[False, True]).head(20).reset_index(drop=True)
@@ -475,40 +446,42 @@ GROUP BY token ORDER BY df DESC, token LIMIT 20
 # done on exact ints.
 
 
-def significant_terms(sf_dir: str):
+def significant_terms_over(ds, field: str, fg_mask, min_df: int, limit: int, n_buckets: int | None = None):
+    """(token, fg_df, bg_df) for the `limit` terms of `ds[field]` most
+    over-represented in the foreground, among terms with bg_df ≥ min_df.
+    `fg_mask(batch)` → per-doc foreground flags (None: every doc).  df
+    partials are per-doc-distinct; ranking is fg_df/bg_df desc, token asc."""
+
     def explode(batch: pd.DataFrame) -> pd.DataFrame:
-        toks = _tokens(batch["text"]).map(lambda ws: sorted(set(ws)))
+        toks = _tokens(batch[field]).map(lambda ws: sorted(set(ws)))
         n = toks.map(len).to_numpy()
+        fg = np.ones(len(batch), dtype=bool) if fg_mask is None else np.asarray(fg_mask(batch))
         flat = pd.DataFrame(
             {
                 "token": np.concatenate(toks.to_numpy()) if len(toks) else np.array([], dtype=object),
-                "fg": np.repeat((batch["lang"] == "en").to_numpy().astype(np.int64), n),
+                "fg": np.repeat(fg.astype(np.int64), n),
             }
         )
-        g = flat.groupby("token", as_index=False).agg(fg_df=("fg", "sum"), bg_df=("fg", "size"))
-        g["gb"] = _token_bucket(g["token"].to_numpy())
-        return g
+        return flat.groupby("token", as_index=False).agg(fg_df=("fg", "sum"), bg_df=("fg", "size"))
+
+    def top(m: pd.DataFrame) -> pd.DataFrame:
+        ratio = m["fg_df"].to_numpy() / m["bg_df"].to_numpy()
+        return m.iloc[np.lexsort((m["token"].to_numpy(), -ratio))].head(limit)
 
     def merge(g: pd.DataFrame) -> pd.DataFrame:
         m = g.groupby("token", as_index=False).agg(fg_df=("fg_df", "sum"), bg_df=("bg_df", "sum"))
-        m = m[m["bg_df"] >= 10]
-        if not len(m):
-            return m
-        ratio_key = m["fg_df"].to_numpy() / m["bg_df"].to_numpy()
-        return m.iloc[np.lexsort((m["token"].to_numpy(), -ratio_key))].head(15)
+        return top(m[m["bg_df"] >= min_df])
 
-    out = (
-        read(sf_dir, "documents", ["text", "lang"])
-        .map_batches(explode, batch_format="pandas")
-        .groupby("gb")
-        .map_groups(merge, batch_format="pandas")
-        .to_pandas()  # ≤ TOKEN_BUCKETS × 15 rows
-    )
+    parts = ds.map_batches(explode, batch_format="pandas")
+    out = bucketed(parts, "token", merge, n_buckets).to_pandas()  # ≤ buckets × limit rows
     out["fg_df"] = out["fg_df"].astype("int64")
     out["bg_df"] = out["bg_df"].astype("int64")
-    ratio_key = out["fg_df"].to_numpy() / out["bg_df"].to_numpy()
-    out = out.iloc[np.lexsort((out["token"].to_numpy(), -ratio_key))]
-    return out.head(15).reset_index(drop=True)
+    return top(out).reset_index(drop=True)
+
+
+def significant_terms(sf_dir: str):
+    docs = read(sf_dir, "documents", ["text", "lang"])
+    return significant_terms_over(docs, "text", lambda b: b["lang"].to_numpy() == "en", 10, 15)
 
 
 SIGNIFICANT_SQL = f"""
@@ -585,21 +558,14 @@ def shingle_bigrams(sf_dir: str):
         flat = pd.DataFrame(
             {"bigram": np.concatenate(grams.to_numpy()) if len(grams) else np.array([], dtype=object)}
         )
-        g = flat.groupby("bigram", as_index=False).size().rename(columns={"size": "df"})
-        g["gb"] = _token_bucket(g["bigram"].to_numpy())
-        return g
+        return flat.groupby("bigram", as_index=False).size().rename(columns={"size": "df"})
 
     def merge(g: pd.DataFrame) -> pd.DataFrame:
         m = g.groupby("bigram", as_index=False)["df"].sum()
         return m.sort_values(["df", "bigram"], ascending=[False, True]).head(15)
 
-    out = (
-        read(sf_dir, "documents", ["text"])
-        .map_batches(explode, batch_format="pandas")
-        .groupby("gb")
-        .map_groups(merge, batch_format="pandas")
-        .to_pandas()  # ≤ TOKEN_BUCKETS × 15 rows
-    )
+    docs = read(sf_dir, "documents", ["text"]).map_batches(explode, batch_format="pandas")
+    out = bucketed(docs, "bigram", merge).to_pandas()  # ≤ buckets × 15 rows
     out["df"] = out["df"].astype("int64")
     return out.sort_values(["df", "bigram"], ascending=[False, True]).head(15).reset_index(drop=True)
 
@@ -650,7 +616,7 @@ SUGGEST_PREFIX = "s"
 
 def _suggest_bucketed(sf_dir: str, token_filter, k: int = 8) -> pd.DataFrame:
     """Shared suggester shape: per-batch cf partials for tokens passing
-    `token_filter`, fixed-bucket shuffle, per-bucket top-k, bounded driver
+    `token_filter`, bucketed shuffle, per-bucket top-k, bounded driver
     merge."""
 
     def explode(batch: pd.DataFrame) -> pd.DataFrame:
@@ -659,21 +625,14 @@ def _suggest_bucketed(sf_dir: str, token_filter, k: int = 8) -> pd.DataFrame:
             {"token": np.concatenate(toks.to_numpy()) if len(toks) else np.array([], dtype=object)}
         )
         flat = flat[token_filter(flat["token"])]
-        g = flat.groupby("token", as_index=False).size().rename(columns={"size": "cf"})
-        g["gb"] = _token_bucket(g["token"].to_numpy())
-        return g
+        return flat.groupby("token", as_index=False).size().rename(columns={"size": "cf"})
 
     def merge(g: pd.DataFrame) -> pd.DataFrame:
         m = g.groupby("token", as_index=False)["cf"].sum()
         return m.sort_values(["cf", "token"], ascending=[False, True]).head(k)
 
-    out = (
-        read(sf_dir, "documents", ["text"])
-        .map_batches(explode, batch_format="pandas")
-        .groupby("gb")
-        .map_groups(merge, batch_format="pandas")
-        .to_pandas()
-    )
+    docs = read(sf_dir, "documents", ["text"]).map_batches(explode, batch_format="pandas")
+    out = bucketed(docs, "token", merge).to_pandas()
     if "token" not in out.columns or not len(out):
         return pd.DataFrame({"token": pd.Series([], dtype=object), "cf": pd.Series([], dtype="int64")})
     out["cf"] = out["cf"].astype("int64")
@@ -690,7 +649,7 @@ def suggest_prefix(sf_dir: str):
 # order (the suggester's default shape is grams=2 separated contexts), with
 # the unigram backoff exposed by the `onlyMorePopular`-style ranking:
 # candidates ranked by P(next|ctx) ∝ count(ctx, next), ties by token.
-# Shape: (ctx, next) pair counts are vocabulary-keyed → fixed-bucket
+# Shape: (ctx, next) pair counts are vocabulary-keyed → bucketed
 # shuffle with per-bucket top-k partials; the gate pins one context
 # literal shared with the SQL twin.
 
@@ -701,13 +660,7 @@ FREETEXT_K = 8
 def suggest_freetext(sf_dir: str, context: str = FREETEXT_CTX, k: int = FREETEXT_K):
     def explode(batch: pd.DataFrame) -> pd.DataFrame:
         doc_idx, codes, uniq, counts = _explode_tokens(batch["text"])
-        empty = pd.DataFrame(
-            {
-                "next": pd.Series([], dtype=object),
-                "cnt": pd.Series([], dtype="int64"),
-                "gb": pd.Series([], dtype="int64"),
-            }
-        )
+        empty = pd.DataFrame({"next": pd.Series([], dtype=object), "cnt": pd.Series([], dtype="int64")})
         if codes.size < 2:
             return empty
         hit = np.flatnonzero(uniq == context)
@@ -720,21 +673,14 @@ def suggest_freetext(sf_dir: str, context: str = FREETEXT_CTX, k: int = FREETEXT
             return empty
         ucode, cnt = np.unique(nxt, return_counts=True)
         toks = uniq[ucode]
-        return pd.DataFrame(
-            {"next": toks, "cnt": cnt.astype(np.int64), "gb": _token_bucket(toks)}
-        )
+        return pd.DataFrame({"next": toks, "cnt": cnt.astype(np.int64)})
 
     def merge(g: pd.DataFrame) -> pd.DataFrame:
         m = g.groupby("next", as_index=False)["cnt"].sum()
         return m.sort_values(["cnt", "next"], ascending=[False, True]).head(k)
 
-    out = (
-        read(sf_dir, "documents", ["text"])
-        .map_batches(explode, batch_format="pandas")
-        .groupby("gb")
-        .map_groups(merge, batch_format="pandas")
-        .to_pandas()
-    )
+    docs = read(sf_dir, "documents", ["text"]).map_batches(explode, batch_format="pandas")
+    out = bucketed(docs, "next", merge).to_pandas()
     if "next" not in out.columns or not len(out):
         return pd.DataFrame({"next": pd.Series([], dtype=object), "cnt": pd.Series([], dtype="int64")})
     out["cnt"] = out["cnt"].astype("int64")
@@ -872,26 +818,14 @@ def spellcheck_suggest(sf_dir: str):
     def explode(batch: pd.DataFrame) -> pd.DataFrame:
         doc_idx, codes, uniq, _ = _explode_tokens(batch["text"])
         if not codes.size:
-            return pd.DataFrame(
-                {
-                    "term": pd.Series([], dtype=object),
-                    "df": pd.Series([], dtype="int64"),
-                    "gb": pd.Series([], dtype="int64"),
-                }
-            )
+            return pd.DataFrame({"term": pd.Series([], dtype=object), "df": pd.Series([], dtype="int64")})
         ucode = np.unique(doc_idx * np.int64(uniq.size) + codes) % np.int64(uniq.size)
         df_part = np.bincount(ucode, minlength=uniq.size)
         # DirectSpellChecker length-band prefilter: only terms within the
         # edit budget of the query's length can be candidates
         lens = np.char.str_len(uniq.astype(str))
         keep = np.abs(lens - len(SPELL_WORD)) <= 2
-        return pd.DataFrame(
-            {
-                "term": uniq[keep],
-                "df": df_part[keep].astype("int64"),
-                "gb": _token_bucket(uniq[keep]),
-            }
-        )
+        return pd.DataFrame({"term": uniq[keep], "df": df_part[keep].astype("int64")})
 
     def merge(g: pd.DataFrame) -> pd.DataFrame:
         # bucket-local distance scan over the bucket's slice of the
@@ -908,13 +842,8 @@ def spellcheck_suggest(sf_dir: str):
             out[c] = out[c].astype("int64")
         return out.sort_values(["distance", "df", "term"], ascending=[True, False, True]).head(5)
 
-    out = (
-        read(sf_dir, "documents", ["text"])
-        .map_batches(explode, batch_format="pandas")
-        .groupby("gb")
-        .map_groups(merge, batch_format="pandas")
-        .to_pandas()  # ≤ TOKEN_BUCKETS × 5 rows
-    )
+    docs = read(sf_dir, "documents", ["text"]).map_batches(explode, batch_format="pandas")
+    out = bucketed(docs, "term", merge).to_pandas()  # ≤ buckets × 5 rows
     if not len(out):
         return pd.DataFrame(
             {
@@ -986,7 +915,6 @@ def mlt_terms(sf_dir: str):
                     "token": pd.Series([], dtype=object),
                     "df": pd.Series([], dtype="int64"),
                     "tf_doc": pd.Series([], dtype="int64"),
-                    "gb": pd.Series([], dtype="int64"),
                 }
             )
         ucode = np.unique(doc_idx * np.int64(uniq.size) + codes) % np.int64(uniq.size)
@@ -999,7 +927,6 @@ def mlt_terms(sf_dir: str):
                 "token": uniq[present],
                 "df": df_part[present].astype("int64"),
                 "tf_doc": tf_part[present].astype("int64"),
-                "gb": _token_bucket(uniq[present]),
             }
         )
 
@@ -1009,14 +936,8 @@ def mlt_terms(sf_dir: str):
         # document's vocabulary, not the collection's
         return m[m["tf"] > 0]
 
-    agg = (
-        read(sf_dir, "documents", ["doc_id", "text"])
-        .map_batches(explode, batch_format="pandas")
-        .groupby("gb")
-        .map_groups(merge, batch_format="pandas")
-        .to_pandas()
-        .copy()
-    )
+    docs = read(sf_dir, "documents", ["doc_id", "text"]).map_batches(explode, batch_format="pandas")
+    agg = bucketed(docs, "token", merge).to_pandas().copy()
     n_docs = int(pd.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id"]).shape[0])
     import math
 
@@ -1258,8 +1179,8 @@ GROUP BY a.doc_id ORDER BY a.doc_id
 
 # --------------------------------------------------------------------------
 # §2.2 PhoneticFilter (lucene/analysis/phonetic): soundex code groups over
-# the corpus vocabulary.  Same fixed-bucket shuffle as terms_component —
-# tokens hash into TOKEN_BUCKETS, per-bucket merges resolve distinct tokens
+# the corpus vocabulary.  Same bucketed shuffle as terms_component —
+# per-bucket merges resolve distinct tokens
 # and encode them (scalar soundex per DISTINCT token, bucket-bounded), and
 # the driver merge is soundex-code-space bounded (≤26·7³ codes).  The SQL
 # twin reimplements the identical soundex algorithm with translate + chained
@@ -1274,13 +1195,7 @@ def phonetic_match(sf_dir: str):
 
     def partials(batch: pd.DataFrame) -> pd.DataFrame:
         _, codes, uniq, _ = _explode_tokens(batch["text"])
-        empty = pd.DataFrame(
-            {
-                "token": pd.Series([], dtype=object),
-                "occ": pd.Series([], dtype="int64"),
-                "gb": pd.Series([], dtype="int64"),
-            }
-        )
+        empty = pd.DataFrame({"token": pd.Series([], dtype=object), "occ": pd.Series([], dtype="int64")})
         if not codes.size:
             return empty
         occ = np.bincount(codes, minlength=uniq.size).astype("int64")
@@ -1288,20 +1203,15 @@ def phonetic_match(sf_dir: str):
         if not alpha.any():
             return empty
         uniq, occ = uniq[alpha], occ[alpha]
-        return pd.DataFrame({"token": uniq, "occ": occ, "gb": _token_bucket(uniq)})
+        return pd.DataFrame({"token": uniq, "occ": occ})
 
     def merge(g: pd.DataFrame) -> pd.DataFrame:
         m = g.groupby("token", as_index=False)["occ"].sum()
         m["code"] = [soundex(t) for t in m["token"]]
         return m.groupby("code", as_index=False).agg(n_tokens=("token", "size"), occ=("occ", "sum"))
 
-    out = (
-        read(sf_dir, "documents", ["text"])
-        .map_batches(partials, batch_format="pandas")
-        .groupby("gb")
-        .map_groups(merge, batch_format="pandas")
-        .to_pandas()  # ≤ buckets × codes-per-bucket, code-space bounded
-    )
+    docs = read(sf_dir, "documents", ["text"]).map_batches(partials, batch_format="pandas")
+    out = bucketed(docs, "token", merge).to_pandas()  # ≤ buckets × codes-per-bucket, code-space bounded
     if not len(out):
         return pd.DataFrame(
             {
@@ -1410,14 +1320,13 @@ LIMIT {PHONETIC_TOP}
 # same shape as the docID base+rank assignment in index/build.py.
 
 PACK_BUDGET = 2048
-PACK_NBUCKETS = 512
 
 # instrumentation for the scale-shape pytest: how many metadata rows the
 # driver actually touched in the last pack_offsets call.
 last_pack_stats: dict = {}
 
 
-def pack_offsets(counts_ds, budget: int, nbuckets: int = PACK_NBUCKETS):
+def pack_offsets(counts_ds, budget: int, nbuckets: int = SHUFFLE_BUCKETS):
     """Append seq_id/offset to a Dataset of (doc_id, n_tokens [, extra
     cols]) WITHOUT materializing O(corpus) metadata on the driver.
 
@@ -1713,24 +1622,13 @@ def substring_dup_spans(sf_dir: str, width: int = SUBSTR_W):
     def key_partials(batch: pd.DataFrame) -> pd.DataFrame:
         grams, _, _ = _doc_grams_pos(batch["text"], width)
         uniq, cnt = np.unique(grams, return_counts=True)
-        return pd.DataFrame(
-            {
-                "key": uniq,
-                "n": cnt.astype(np.int64),
-                "gb": (uniq % np.uint64(TOKEN_BUCKETS)).astype(np.int64),
-            }
-        )
+        return pd.DataFrame({"key": uniq, "n": cnt.astype(np.int64)})
 
     def dup_only(g: pd.DataFrame) -> pd.DataFrame:
         m = g.groupby("key", as_index=False)["n"].sum()
         return m[m["n"] >= 2][["key"]]
 
-    dup_keys = (
-        ds.map_batches(key_partials, batch_format="pandas")
-        .groupby("gb")
-        .map_groups(dup_only, batch_format="pandas")
-        .to_pandas()
-    )
+    dup_keys = bucketed(ds.map_batches(key_partials, batch_format="pandas"), "key", dup_only).to_pandas()
     dups = np.sort(dup_keys["key"].to_numpy(np.uint64)) if len(dup_keys) else np.empty(0, np.uint64)
     dup_ref = ray.put(dups)
 

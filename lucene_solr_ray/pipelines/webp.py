@@ -34,13 +34,34 @@ from .images import codec_errors
 # code-length-code symbol transmission order (spec §"Decoding the Code Lengths")
 _CL_ORDER = [17, 18, 0, 1, 2, 3, 4, 5, 16, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15]
 
-# 120 near-neighbor (dx, dy) offsets for distance codes ≤ 120, sorted by
-# squared euclidean distance, ties by larger dy then smaller dx — the
-# ordering reproduces the spec's literal table (head spot-checked in tests)
-_DIST_PLANE = sorted(
-    [(x, y) for y in range(8) for x in range(-8, 8) if not (y == 0 and x >= 0)],
-    key=lambda p: (p[0] * p[0] + p[1] * p[1], -p[1], p[0]),
+# distance codes 1..120 → near-neighbor (dx, dy), the spec's literal table
+# (RFC 9649 §4.2.2; libwebp kCodeToPlane packs it as yoffset << 4 |
+# (8 - xoffset)).  dx > 0 is to the LEFT, dy > 0 rows UP: the backward
+# pixel distance is dx + dy·width.
+_CODE_TO_PLANE = (
+    0x18, 0x07, 0x17, 0x19, 0x28, 0x06, 0x27, 0x29, 0x16, 0x1A,
+    0x26, 0x2A, 0x38, 0x05, 0x37, 0x39, 0x15, 0x1B, 0x36, 0x3A,
+    0x25, 0x2B, 0x48, 0x04, 0x47, 0x49, 0x14, 0x1C, 0x35, 0x3B,
+    0x46, 0x4A, 0x24, 0x2C, 0x58, 0x45, 0x4B, 0x34, 0x3C, 0x03,
+    0x57, 0x59, 0x13, 0x1D, 0x56, 0x5A, 0x23, 0x2D, 0x44, 0x4C,
+    0x55, 0x5B, 0x33, 0x3D, 0x68, 0x02, 0x67, 0x69, 0x12, 0x1E,
+    0x66, 0x6A, 0x22, 0x2E, 0x54, 0x5C, 0x43, 0x4D, 0x65, 0x6B,
+    0x32, 0x3E, 0x78, 0x01, 0x77, 0x79, 0x53, 0x5D, 0x11, 0x1F,
+    0x64, 0x6C, 0x42, 0x4E, 0x76, 0x7A, 0x21, 0x2F, 0x75, 0x7B,
+    0x31, 0x3F, 0x63, 0x6D, 0x52, 0x5E, 0x00, 0x74, 0x7C, 0x41,
+    0x4F, 0x10, 0x20, 0x62, 0x6E, 0x30, 0x73, 0x7D, 0x51, 0x5F,
+    0x40, 0x72, 0x7E, 0x61, 0x6F, 0x50, 0x71, 0x7F, 0x60, 0x70,
 )
+_DIST_PLANE = [(8 - (c & 0xF), c >> 4) for c in _CODE_TO_PLANE]
+
+
+def _plane_distance(code: int, w: int) -> int:
+    """LZ77 distance code → backward pixel distance in a width-`w` image."""
+    if code > 120:
+        return code - 120
+    dx, dy = _DIST_PLANE[code - 1]
+    return max(1, dx + dy * w)  # < 1 only in very narrow images
+
 
 _HASH_MUL = 0x1E35A7BD  # color-cache multiplicative hash
 
@@ -278,12 +299,7 @@ def _decode_image_stream(r: _BitReader, w: int, h: int, level0: bool) -> np.ndar
             i += 1
         elif s < 280:  # LZ77 backward reference
             length = _prefix_value(r, s - 256)
-            plane = _prefix_value(r, r.read_sym(g[4]))
-            if plane > 120:
-                dist = plane - 120
-            else:
-                dx, dy = _DIST_PLANE[plane - 1]
-                dist = max(1, dx + dy * w)
+            dist = _plane_distance(_prefix_value(r, r.read_sym(g[4])), w)
             if dist > i or i + length > n:
                 raise ValueError("VP8L backward reference out of bounds")
             for _ in range(length):  # may self-overlap: copy pixel-by-pixel

@@ -572,14 +572,33 @@ def test_pii_scrub_documents_nonvacuous(ray_session):
     assert not out["clean"].str.contains("@example.com", regex=False).any()
 
 
-def test_asof_join_bucket_invariance(ray_session, monkeypatch):
-    # the co-partitioned merge must be invariant to the bucket count —
-    # any key-hash partitioning gives the same per-event answer
-    import lucene_solr_ray.pipelines.relational as rel
+_WIDTHS = {"asof_join": ("relational", "_ASOF_BUCKETS")}  # others: the shared default
 
-    base = rel.asof_join(SF)
-    monkeypatch.setattr(rel, "_ASOF_BUCKETS", 3)
-    few = rel.asof_join(SF)
-    import pandas as pd
-    pd.testing.assert_frame_equal(base, few)
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "dedup_exact",
+        "sessionize",
+        "significant_terms",
+        "terms_component",
+        "line_dedup",
+        "soft_dedup_weights",
+        "percentile_disc",
+        "collapse_best",
+        "asof_join",
+    ],
+)
+def test_bucket_width_invariance(ray_session, monkeypatch, name):
+    # a bucketed shuffle only co-locates equal keys, so the answer must not
+    # depend on the bucket count
+    import importlib
+
+    from lucene_solr_ray.pipelines import REGISTRY
+
+    module, width = _WIDTHS.get(name, ("common", "SHUFFLE_BUCKETS"))
+    fn = REGISTRY[name].fn
+    base = fn(SF)
+    monkeypatch.setattr(importlib.import_module(f"lucene_solr_ray.pipelines.{module}"), width, 3)
+    pd.testing.assert_frame_equal(base, fn(SF))
     assert len(base) > 0

@@ -17,6 +17,7 @@ from lucene_solr_ray.pipelines.richdoc import (
     encode_rtf,
     extract_docx,
     extract_html,
+    extract_metadata,
     extract_pdf,
     extract_rtf,
     extract_text,
@@ -64,6 +65,12 @@ def test_pdf_rejects_garbage():
     bad = b"%PDF-1.4\n<< /Length 20 >>\nstream\nBT (unterminated Tj\nendstream"
     with pytest.raises(ValueError):
         extract_pdf(bad)
+
+
+def test_pdf_indirect_length_falls_back_to_endstream():
+    # "/Length 12 0 R" is an object reference, not a 1-byte direct length
+    b = b"%PDF-1.4\n1 0 obj\n<< /Length 12 0 R >>\nstream\nBT (hello world) Tj ET\nendstream\nendobj\n%%EOF"
+    assert extract_pdf(b) == "hello world"
 
 
 @settings(max_examples=25, deadline=None)
@@ -114,6 +121,17 @@ def test_html_drops_script_style_head():
     b = (b"<html><head><title>T</title><style>p{}</style></head>"
          b"<body><script>var x=1;</script><p>keep this</p><p>and this</p></body></html>")
     assert extract_html(b) == "keep this\nand this"
+
+
+def test_html_unterminated_head_and_title():
+    # no </head> (and no </title>): body-level tags close them implicitly
+    b = (b'<html><head><title>T</title><meta name="author" content="A">'
+         b"<body><p>keep this</p><p>and this</p></body></html>")
+    assert extract_html(b) == "keep this\nand this"
+    assert extract_metadata(b) == {"title": "T", "author": "A"}
+    b = b"<html><head><title>T<body><p>keep</p></body></html>"
+    assert extract_html(b) == "keep"
+    assert extract_metadata(b)["title"] == "T"
 
 
 def test_html_entities_decoded():

@@ -11,6 +11,7 @@ from lucene_solr_ray.pipelines.webp import (
     _DIST_PLANE,
     _Huff,
     _limited_lengths,
+    _plane_distance,
     _prefix_parts,
     decode_webp,
     encode_webp,
@@ -29,11 +30,24 @@ def _rand(h, w, ch, seed):
 
 
 def test_distance_plane_spec_head():
-    # first 10 entries of the spec's literal table, as (dx, dy)
-    head = [(0, 1), (-1, 0), (-1, 1), (1, 1), (0, 2), (-2, 0), (-1, 2), (1, 2), (-2, 1), (2, 1)]
+    # first 10 entries of the spec's literal table (RFC 9649 §4.2.2), as
+    # (xi, yi) with xi > 0 to the left
+    head = [(0, 1), (1, 0), (1, 1), (-1, 1), (0, 2), (2, 0), (1, 2), (-1, 2), (2, 1), (-2, 1)]
     assert _DIST_PLANE[:10] == head
+    assert _DIST_PLANE[-1] == (8, 7)
     assert len(_DIST_PLANE) == 120
     assert len(set(_DIST_PLANE)) == 120
+
+
+def test_plane_code_to_distance():
+    w = 10
+    assert _plane_distance(1, w) == w  # directly above
+    assert _plane_distance(2, w) == 1  # left neighbour
+    assert _plane_distance(3, w) == w + 1  # top-left
+    assert _plane_distance(4, w) == w - 1  # top-right
+    assert _plane_distance(6, w) == 2  # two to the left
+    assert _plane_distance(121, w) == 1  # codes > 120 are plain distances
+    assert _plane_distance(10, 1) == 1  # negative reach clamps to 1
 
 
 def test_prefix_value_parts_inverse():

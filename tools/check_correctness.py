@@ -15,6 +15,7 @@ from __future__ import annotations
 import sys
 import time
 import traceback
+from pathlib import Path
 
 import numpy as np
 import pandas as pd
@@ -88,6 +89,8 @@ def compare(name: str, ray_df: pd.DataFrame, sql_df: pd.DataFrame) -> list[str]:
 def main() -> int:
     sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01"
     filters = sys.argv[2:]
+    # check THIS checkout's engine (before ray.init, so workers import it too)
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
     import ray
 
@@ -100,7 +103,6 @@ def main() -> int:
 
     DataContext.get_current().enable_progress_bars = False
 
-    sys.path.insert(0, "/root/repo")
     import __ray_entry__ as entrymod
     import duckdb
 
