@@ -3,8 +3,12 @@
 The Ray analog of a SolrCloud shard replica + Lucene IndexSearcher leaf
 (SURVEY.md §2.4 "Query-serving searcher"): a plain class (wrapped with
 `ray.remote` by the Searcher) that loads its shard's encoded postings into
-memory ONCE in `__init__` and answers `top_k(query_node, k, idfs, ...)`
-calls.  All per-query work is vectorized numpy over decoded posting arrays:
+memory ONCE in `__init__`.  Queries arrive as `top_k(node, k, idfs, ...)`
+(the ranked page: result-cached, WAND-pruned) or as `collect(node, idfs,
+sim, specs)`: the match set evaluates ONCE and every asked-for collector
+(`COLLECT` — counts, facets, stats, groups, field sorts, collapse,
+function scores, block joins) reduces it to one bounded partial.  All
+per-query work is vectorized numpy over decoded posting arrays:
 
 - TermQuery    → decode (docs, freqs, norms), score via bm25.score_postings
   (lucene/core/.../search/TermQuery.java + TermScorer.java)
@@ -26,6 +30,7 @@ touch — runs cover disjoint, increasing docID ranges by construction.
 from __future__ import annotations
 
 import numpy as np
+import pandas as pd
 import pyarrow.parquet as pq
 
 from ..index import codec
@@ -746,12 +751,7 @@ class IndexShard:
                 np.add.at(sm, idx, s)
                 np.add.at(cnt, idx, 1)
                 off += d.size
-            dv = self._load_numeric_dv(node.pattern)
-            if dv is None:
-                raise KeyError(f"unknown numeric doc-values field {node.pattern!r}")
-            fd, fv = dv
-            need = fv[np.searchsorted(fd, docs)]
-            keep = cnt >= need
+            keep = cnt >= self._num_at(node.pattern, docs)
             return docs[keep], sm[keep]
         if node.kind == "dismax":
             # DisjunctionMaxQuery: max(child) + tiebreak·Σ(non-max children)
@@ -835,9 +835,18 @@ class IndexShard:
         return docs, scores
 
     # -- public API --------------------------------------------------------
+    def collect(self, node: QueryNode, idfs: dict[str, float], sim: str, specs: list) -> list:
+        """The one match-set request (Lucene's Collector over one Weight,
+        Solr's SearchComponents over one DocSet): evaluate `node` ONCE,
+        then run every `(name, *args)` spec's collector (`COLLECT`) over
+        the same (docs, scores).  → one bounded partial per spec, in spec
+        order; the driver pairs each collector with one merge."""
+        docs, scores = self._eval(node, idfs, sim)
+        return [COLLECT[name](self, docs, scores, *args) for name, *args in specs]
+
     def match_all(self, node: QueryNode, idfs: dict[str, float], sim: str = "bm25"):
-        """ALL matching (docs, float64 scores) — feeds parent-block joins
-        and delete-by-query, where every child hit matters."""
+        """ALL matching (docs, float64 scores) — feeds diversified top-k
+        and delete-by-query, where every hit matters."""
         return self._eval(node, idfs, sim)
 
     def join_values(self, node: QueryNode, idfs: dict[str, float], field: str, sim: str = "bm25") -> list:
@@ -858,19 +867,15 @@ class IndexShard:
         if hit is not None:
             return hit
         docs, scores = self._eval(node, idfs, sim)
-        dv = self._load_docvalues(field)
-        if dv is None or docs.size == 0:
+        at = self._dv_at(field, docs)
+        if at is None or docs.size == 0:
             return []
-        fd, fv = dv
-        vals = fv[np.searchsorted(fd, docs)]
         # per-key score partials for JoinUtil's ScoreMode (lucene/join/src/
         # java/org/apache/lucene/search/join/ScoreMode.java): (sum64,
         # count, max32), accumulated in docID order within the shard
         # (bincount is sequential), merged on the driver in shard order —
         # deterministic for a given layout; max/count are order-free.
-        import pandas as pd
-
-        keep = np.array([v is not None for v in vals.tolist()], dtype=bool)
+        vals, keep = at
         vals, s64 = vals[keep], scores[keep].astype(np.float32).astype(np.float64)
         if not vals.size:
             self._result_cache.put(cache_key, [])
@@ -885,27 +890,6 @@ class IndexShard:
             for v, s, c, m in zip(uniq.tolist(), sums, counts, maxs)
         )
         self._result_cache.put(cache_key, out)
-        return out
-
-    def count_matches(self, node: QueryNode, idfs: dict[str, float], sim: str = "bm25") -> int:
-        """numFound for this shard — only the hit COUNT crosses the wire
-        (feeds SpellCheckCollator verification and rows=0 counting queries)."""
-        docs, _ = self._eval(node, idfs, sim)
-        return int(docs.size)
-
-    def facet_query_counts(self, node: QueryNode, idfs: dict[str, float], subs: list) -> list:
-        """facet.query (SimpleFacets.getFacetQueryCounts): hit count of
-        each sub-query INTERSECTED with the base query's DocSet — the base
-        evaluates once per shard, each sub once, and only the counts cross
-        the wire."""
-        base, _ = self._eval(node, idfs, "bm25")
-        out = []
-        for sn, sidfs in subs:
-            if sn is None or base.size == 0:
-                out.append(0)
-                continue
-            sd, _ = self._eval(sn, sidfs, "bm25")
-            out.append(int(np.intersect1d(base, sd, assume_unique=True).size))
         return out
 
     def explain(self, node: QueryNode, doc: int, idfs: dict[str, float], sim: str = "bm25"):
@@ -931,84 +915,6 @@ class IndexShard:
         self._docmap_paths = list(paths)
         self._docmap = None
 
-    # -- TermRange via the IndexOrDocValues cost model ---------------------
-    # lucene/core/src/java/org/apache/lucene/search/IndexOrDocValuesQuery
-    # .java: the same predicate is answerable from the term index (union of
-    # matching postings, cost ≈ Σ df) or from the doc-values column (full
-    # column scan, cost ≈ maxDoc); pick by estimated cost.
-    RANGE_SCAN_FRACTION = 8  # index wins when Σ df ≤ maxDoc / 8
-
-    def top_k_collapse(
-        self,
-        node: QueryNode,
-        field: str,
-        k: int,
-        idfs: dict[str, float],
-        sim: str = "bm25",
-        sel_op: str | None = None,
-        sel_field: str | None = None,
-        null_policy: str = "ignore",
-    ):
-        """Shard-local query-time collapse (solr/core/.../search/
-        CollapsingQParserPlugin.java): evaluate ALL matching docs, keep the
-        group head per `field` doc-value group — by (score desc, docID asc)
-        by default, or by min/max of a NUMERIC doc-values field when
-        `sel_op`/`sel_field` are set (the plugin's min=/max= selectors; the
-        head still carries its QUERY score for ranking).  `null_policy`:
-        ignore drops field-less docs, expand lets each compete as its own
-        group (top-k cut per shard is safe — singleton groups), collapse
-        folds them into ONE null group (one head per shard).  Returns at
-        most one (doc, score, group[, selector value]) per group PER SHARD
-        — the driver merge is bounded by the group domain (+k for expand),
-        never the hit count."""
-        docs, scores = self._eval(node, idfs, sim)
-        empty = (_EMPTY_I64, _EMPTY_F64, np.empty(0, dtype=object), _EMPTY_F64)
-        if not docs.size:
-            return empty
-        dv = self._load_docvalues(field)
-        if dv is None:
-            return empty
-        fd, fv = dv
-        vals = fv[np.searchsorted(fd, docs)]
-        keep = np.array([v is not None for v in vals.tolist()], dtype=bool)
-        nd_, ns_ = docs[~keep], scores[~keep].astype(np.float32)  # null-group docs
-        docs, scores, vals = docs[keep], scores[keep].astype(np.float32), vals[keep]
-
-        def with_nulls(res):
-            if null_policy == "ignore" or not nd_.size:
-                return res
-            order = np.lexsort((nd_, -ns_))
-            order = order[:1] if null_policy == "collapse" else order[:k]
-            return (
-                np.concatenate([res[0], nd_[order]]),
-                np.concatenate([res[1], ns_[order]]),
-                np.concatenate([res[2], np.full(order.size, None, dtype=object)]),
-                np.concatenate([res[3], np.zeros(order.size)]),
-            )
-
-        if not docs.size:
-            return with_nulls(empty)
-        if sel_op is None:
-            # best per group: (score desc, doc asc) order, first per value
-            order = np.lexsort((docs, -scores))
-            selv_sorted = None
-        else:
-            ndv = self._load_numeric_dv(sel_field)
-            if ndv is None:
-                raise KeyError(f"unknown numeric doc-values field {sel_field!r}")
-            nd, nv = ndv
-            selv = nv[np.searchsorted(nd, docs)]
-            order = np.lexsort((docs, selv if sel_op == "min" else -selv))
-            selv_sorted = selv[order]
-        docs, scores, vals = docs[order], scores[order], vals[order]
-        codes, _ = __import__("pandas").factorize(vals)
-        _, first_idx = np.unique(codes, return_index=True)  # first hit per
-        sel = np.sort(first_idx)  # group in head order — vectorized
-        out_sel = selv_sorted[sel] if selv_sorted is not None else np.zeros(sel.size)
-        # shard-local top-k groups is NOT safe to cut (another shard may
-        # beat a group's best) — return all group winners (domain-bounded)
-        return with_nulls((docs[sel], scores[sel], vals[sel], out_sel))
-
     def export_shard_sorted(
         self,
         node: QueryNode,
@@ -1028,20 +934,12 @@ class IndexShard:
         docs, _ = self._eval(node, idfs, "bm25")
         if not docs.size:
             return None
-        ndv = self._load_numeric_dv(sort_field)
-        if ndv is None:
-            raise KeyError(f"unknown numeric doc-values field {sort_field!r}")
-        fd, fv = ndv
-        vals = fv[np.searchsorted(fd, docs)]
+        vals = self._num_at(sort_field, docs)
         order = np.lexsort((docs, vals if asc else -vals))
         cols = {"doc_id": docs[order], sort_field: vals[order]}
         for f in fl:
-            if f == sort_field:
-                continue
-            xdv = self._load_numeric_dv(f)
-            if xdv is None:
-                raise KeyError(f"unknown fl field {f!r}")
-            cols[f] = xdv[1][np.searchsorted(xdv[0], docs)][order]
+            if f != sort_field:
+                cols[f] = self._num_at(f, docs)[order]
         import uuid
 
         import pyarrow as pa
@@ -1054,276 +952,26 @@ class IndexShard:
         os.replace(tmp, path)
         return path
 
-    def expand_members(
-        self,
-        node: QueryNode,
-        idfs: dict[str, float],
-        sim: str,
-        field: str,
-        group_vals: list,
-        exclude: list,
-        limit: int,
-    ):
-        """ExpandComponent (solr/core/.../handler/component/ExpandComponent
-        .java): for the GIVEN collapsed head groups, this shard's top
-        `limit` OTHER matching members per group by (score desc, docID
-        asc).  Bounded: at most |groups|·limit rows leave the shard."""
-        docs, scores = self._eval(node, idfs, sim)
-        if not docs.size:
-            return None
-        dv = self._load_docvalues(field)
+    # -- doc values ----------------------------------------------------------
+    def _dv_at(self, field: str, docs: np.ndarray, numeric: bool = False):
+        """(values, present mask) of `field`'s doc values at the sorted
+        `docs` this shard owns — keyword (SortedDocValues) by default,
+        float64 with `numeric=True`.  A doc without a value is absent from
+        the mask (`pd.notna`).  None when no segment has the column."""
+        dv = self._load_numeric_dv(field) if numeric else self._load_docvalues(field)
         if dv is None:
             return None
         fd, fv = dv
         vals = fv[np.searchsorted(fd, docs)]
-        want = set(group_vals)
-        keep = np.array([v in want for v in vals.tolist()], dtype=bool)
-        if exclude:
-            keep &= ~np.isin(docs, np.asarray(exclude, dtype=np.int64))
-        if not keep.any():
-            return None
-        docs, scores, vals = docs[keep], scores[keep].astype(np.float32), vals[keep]
-        import pandas as pd
+        return vals, pd.notna(vals)
 
-        df = pd.DataFrame({"doc": docs, "score": scores, "val": vals})
-        df = df.sort_values(["score", "doc"], ascending=[False, True], kind="mergesort")
-        return df.groupby("val", sort=False).head(limit)
-
-    def facet_counts(self, node: QueryNode, idfs: dict[str, float], field: str, sim: str = "bm25"):
-        """Per-shard facet partial over the MATCH SET of `node` (the
-        /select?q=...&facet.field=... path — SimpleFacets over a DocSet):
-        → (values, counts), bounded by the field's value domain.  Docs
-        without a value are skipped (facet.missing stays a pipeline-side
-        concern)."""
-        docs, _ = self._eval(node, idfs, sim)
-        if not docs.size:
-            return np.empty(0, dtype=object), _EMPTY_I64, 0
-        dv = self._load_docvalues(field)
-        if dv is None:
-            # no dv column at all: every match counts as missing
-            return np.empty(0, dtype=object), _EMPTY_I64, int(docs.size)
-        fd, fv = dv
-        vals = fv[np.searchsorted(fd, docs)]
-        keep = np.array([v is not None for v in vals.tolist()], dtype=bool)
-        n_missing = int((~keep).sum())
-        if not keep.any():
-            return np.empty(0, dtype=object), _EMPTY_I64, n_missing
-        uniq, cnt = np.unique(vals[keep].astype(str), return_counts=True)
-        return uniq.astype(object), cnt.astype(np.int64), n_missing
-
-    def facet_pair_counts(
-        self, node: QueryNode, idfs: dict[str, float], field1: str, field2: str, sim: str = "bm25"
-    ):
-        """Nested-terms facet partial over the match set (json.facet
-        {type:terms, field: f1, facet:{sub:{type:terms, field: f2}}} on
-        the /select path): per-shard (v1, v2) → count, bounded by the
-        value-domain product.  Docs missing EITHER field drop (the nested
-        bucket only counts docs that have a sub value; parent totals come
-        from facet_counts)."""
-        return self.facet_tuple_counts(node, idfs, [field1, field2], sim)
-
-    def facet_tuple_counts(
-        self, node: QueryNode, idfs: dict[str, float], fields: list[str], sim: str = "bm25"
-    ):
-        """N-level pivot partial (facet.pivot over the query DocSet —
-        PivotFacetProcessor on the index path): per-shard value-tuple →
-        count over docs carrying EVERY field, bounded by the domain
-        product.  → frame (v0..vN-1, n) or None."""
-        docs, _ = self._eval(node, idfs, sim)
-        if not docs.size:
-            return None
-        cols = {}
-        for i, f in enumerate(fields):
-            dv = self._load_docvalues(f)
-            if dv is None:
-                return None
-            cols[f"v{i}"] = dv[1][np.searchsorted(dv[0], docs)]
-        keep = np.ones(docs.size, dtype=bool)
-        for v in cols.values():
-            keep &= np.array([x is not None for x in v.tolist()], dtype=bool)
-        if not keep.any():
-            return None
-        import pandas as pd
-
-        df = pd.DataFrame({k: v[keep].astype(str) for k, v in cols.items()})
-        keys = [f"v{i}" for i in range(len(fields))]
-        return df.groupby(keys, as_index=False).size().rename(columns={"size": "n"})
-
-    def range_facet_counts(
-        self,
-        node: QueryNode,
-        idfs: dict[str, float],
-        field: str,
-        start: float,
-        end: float,
-        gap: float,
-        sim: str = "bm25",
-    ):
-        """Per-shard range-facet partial over the match set (facet.range /
-        RangeFacetProcessor): fixed [start, end) buckets of width `gap`,
-        plus before/after counts — a bounded (n_buckets+2) int64 vector."""
-        n_buckets = int(np.ceil((end - start) / gap))
-        counts = np.zeros(n_buckets + 2, dtype=np.int64)  # [before, buckets..., after]
-        docs, _ = self._eval(node, idfs, sim)
-        if not docs.size:
-            return counts
-        dv = self._load_numeric_dv(field)
-        if dv is None:
+    def _num_at(self, field: str, docs: np.ndarray) -> np.ndarray:
+        """Numeric doc values at `docs` for a column the request REQUIRES
+        (sort keys, stats, range facets, function inputs): unknown → KeyError."""
+        at = self._dv_at(field, docs, numeric=True)
+        if at is None:
             raise KeyError(f"unknown numeric doc-values field {field!r}")
-        fd, fv = dv
-        vals = fv[np.searchsorted(fd, docs)]
-        before = vals < start
-        after = vals >= start + n_buckets * gap
-        mid = ~(before | after)
-        counts[0] = int(before.sum())
-        counts[-1] = int(after.sum())
-        if mid.any():
-            idx = ((vals[mid] - start) // gap).astype(np.int64)
-            counts[1:-1] += np.bincount(idx, minlength=n_buckets)
-        return counts
-
-    def stats_partial(
-        self, node: QueryNode, idfs: dict[str, float], field: str, sim: str = "bm25",
-        with_digest: bool = False,
-    ):
-        """Per-shard StatsComponent partial over the match set: (count,
-        Σx, Σx², min, max) with the sums in EXACT int64 arithmetic when the
-        doc-values column is integral (turn_idx, dl) — partials merge
-        exactly in any order, so the driver result is deterministic.
-        `with_digest=True` appends the t-digest centroid arrays (stats.
-        percentiles) so ONE scatter carries both — the query evaluates
-        once."""
-        docs, _ = self._eval(node, idfs, sim)
-        if not docs.size:
-            return (0, 0, 0, None, None) + ((None,) if with_digest else ())
-        dv = self._load_numeric_dv(field)
-        if dv is None:
-            raise KeyError(f"unknown numeric doc-values field {field!r}")
-        fd, fv = dv
-        vals = fv[np.searchsorted(fd, docs)]
-        iv = vals.astype(np.int64)
-        if not np.array_equal(iv.astype(np.float64), vals):
-            raise ValueError(f"stats over non-integral doc values field {field!r} unsupported")
-        out = (
-            int(docs.size),
-            int(iv.sum(dtype=object)),
-            int((iv.astype(object) * iv.astype(object)).sum()),
-            int(iv.min()),
-            int(iv.max()),
-        )
-        if with_digest:
-            from ..state.tdigest import TDigest
-
-            td = TDigest.of(vals)
-            out = out + ((td.means, td.weights),)
-        return out
-
-    def top_groups(self, node: QueryNode, idfs: dict[str, float], field: str, j: int, sim: str = "bm25"):
-        """Per-shard grouped-search partial (grouping collectors, SURVEY
-        §2.6: FirstPassGroupingCollector + TopGroupsCollector in one pass):
-        top-j hits per `field` doc-value group by (score desc, docID asc).
-        → (docs, float32 scores, group values), ≤ j rows per group per
-        shard — driver merge is (groups × j × shards)-bounded."""
-        docs, scores = self._eval(node, idfs, sim)
-        empty = (_EMPTY_I64, np.empty(0, np.float32), np.empty(0, dtype=object))
-        if not docs.size:
-            return empty
-        dv = self._load_docvalues(field)
-        if dv is None:
-            return empty
-        fd, fv = dv
-        vals = fv[np.searchsorted(fd, docs)]
-        keep = np.array([v is not None for v in vals.tolist()], dtype=bool)
-        docs, scores, vals = docs[keep], scores[keep].astype(np.float32), vals[keep]
-        if not docs.size:
-            return empty
-        order = np.lexsort((docs, -scores))
-        docs, scores, vals = docs[order], scores[order], vals[order]
-        codes, _ = __import__("pandas").factorize(vals)
-        # rank within group: stable-sort by group preserves the rank order
-        by_grp = np.argsort(codes, kind="stable")
-        grp_sorted = codes[by_grp]
-        starts = np.flatnonzero(np.concatenate(([True], grp_sorted[1:] != grp_sorted[:-1])))
-        width = np.arange(grp_sorted.size) - np.repeat(starts, np.diff(np.append(starts, grp_sorted.size)))
-        sel = np.sort(by_grp[width < j])  # back to global rank order
-        return docs[sel], scores[sel], vals[sel]
-
-    def top_groups_sorted(
-        self, node: QueryNode, idfs: dict[str, float], field: str, j: int,
-        sort_field: str, sort_asc: bool, sim: str = "bm25",
-    ):
-        """group.sort=<numeric dv field> asc|desc (TopGroupsCollector with
-        withinGroupSort ≠ main sort): per group this shard returns its top-j
-        docs BY THE GROUP SORT plus the group's best (score, doc) for group
-        ranking (groups still rank by their best hit under the main score
-        sort).  → (docs, scores, group vals, sort vals, gmax, gdoc)."""
-        docs, scores = self._eval(node, idfs, sim)
-        if not docs.size:
-            return None
-        dv = self._load_docvalues(field)
-        ndv = self._load_numeric_dv(sort_field)
-        if dv is None:
-            return None
-        if ndv is None:
-            raise KeyError(f"unknown numeric doc-values field {sort_field!r}")
-        fd, fv = dv
-        vals = fv[np.searchsorted(fd, docs)]
-        keep = np.array([v is not None for v in vals.tolist()], dtype=bool)
-        if not keep.any():
-            return None
-        docs, scores, vals = docs[keep], scores[keep].astype(np.float32), vals[keep]
-        nd, nv = ndv
-        sv = nv[np.searchsorted(nd, docs)]
-        import pandas as pd
-
-        df = pd.DataFrame({"doc": docs, "score": scores, "val": vals, "sv": sv})
-        best = df.sort_values(["score", "doc"], ascending=[False, True], kind="mergesort").drop_duplicates("val")
-        gmax = dict(zip(best["val"], best["score"]))
-        gdoc = dict(zip(best["val"], best["doc"]))
-        df = df.sort_values(["sv", "doc"], ascending=[sort_asc, True], kind="mergesort")
-        df = df.groupby("val", sort=False).head(j)
-        df["gmax"] = df["val"].map(gmax).astype(np.float32)
-        df["gdoc"] = df["val"].map(gdoc).astype(np.int64)
-        return df
-
-    def facet_stats_partial(
-        self, node: QueryNode, idfs: dict[str, float], field: str, stat_field: str, sim: str = "bm25"
-    ):
-        """Per-shard terms-facet-with-sub-stats partial over the match set
-        (json.facet {type:terms, facet:{...}} on the index path): for each
-        `field` value, (count, Σx, min, max) of `stat_field` in exact
-        int64 — value-domain-bounded, order-independent merge."""
-        docs, _ = self._eval(node, idfs, sim)
-        if not docs.size:
-            return []
-        dv = self._load_docvalues(field)
-        ndv = self._load_numeric_dv(stat_field)
-        if dv is None:
-            return []
-        if ndv is None:
-            raise KeyError(f"unknown numeric doc-values field {stat_field!r}")
-        fd, fv = dv
-        vals = fv[np.searchsorted(fd, docs)]
-        nd, nv = ndv
-        x = nv[np.searchsorted(nd, docs)]
-        keep = np.array([v is not None for v in vals.tolist()], dtype=bool)
-        vals, x = vals[keep], x[keep]
-        if not vals.size:
-            return []
-        ix = x.astype(np.int64)
-        if not np.array_equal(ix.astype(np.float64), x):
-            raise ValueError(f"facet stats over non-integral field {stat_field!r} unsupported")
-        codes, uniq = __import__("pandas").factorize(vals)
-        cnt = np.bincount(codes)
-        s = np.bincount(codes, weights=ix).astype(np.int64)  # exact ≤ 2^53 per shard
-        mn = np.full(uniq.size, np.iinfo(np.int64).max)
-        mx = np.full(uniq.size, np.iinfo(np.int64).min)
-        np.minimum.at(mn, codes, ix)
-        np.maximum.at(mx, codes, ix)
-        return [
-            (str(uniq[i]), int(cnt[i]), int(s[i]), int(mn[i]), int(mx[i]))
-            for i in range(uniq.size)
-        ]
+        return at[0]
 
     def _load_docvalues(self, field: str):
         """(doc_id, value) doc-values column for a keyword field, loaded
@@ -1438,207 +1086,9 @@ class IndexShard:
 
         expr = transform_calls(expr, repl)
         for f in expr_fields(expr):
-            if f in cols:
-                continue
-            dv = self._load_numeric_dv(f)
-            if dv is None:
-                raise KeyError(f"unknown numeric doc-values field {f!r}")
-            fd, fv = dv
-            cols[f] = fv[np.searchsorted(fd, docs)]
+            if f not in cols:
+                cols[f] = self._num_at(f, docs)
         return expr, cols
-
-    def top_k_boosted(self, node: QueryNode, k: int, idfs: dict[str, float], expr_src: str, sim: str = "bm25"):
-        """`{!boost b=expr}` (solr/core/.../search/BoostQParserPlugin.java
-        → FunctionScoreQuery.boostByValue): score × per-doc function value,
-        multiplied in float64 BEFORE the float32 cast.  Pruning stays off —
-        WAND's score bounds don't survive a per-doc multiplier (Lucene
-        routes function-scored queries outside WAND too)."""
-        from ..functions.scalar import evaluate, parse_expr
-
-        docs, scores = self._eval(node, idfs, sim)
-        if docs.size == 0:
-            return _EMPTY_I64, np.empty(0, np.float32)
-        expr, cols = self._expr_columns(parse_expr(expr_src), docs)
-        boosted = scores * np.broadcast_to(np.asarray(evaluate(expr, cols), np.float64), scores.shape)
-        scores32 = boosted.astype(np.float32)
-        if docs.size > k:
-            thresh = scores32[np.argpartition(-scores32, k - 1)[k - 1]]
-            cand = np.flatnonzero(scores32 >= thresh)
-            order = np.lexsort((docs[cand], -scores32[cand]))[:k]
-            sel = cand[order]
-            return docs[sel], scores32[sel]
-        order = np.lexsort((docs, -scores32))
-        return docs[order], scores32[order]
-
-    def top_k_franged(
-        self,
-        node: QueryNode,
-        k: int,
-        idfs: dict[str, float],
-        expr_src: str,
-        lo: float | None,
-        hi: float | None,
-        incl: bool,
-        incu: bool,
-        sim: str = "bm25",
-    ):
-        """`fq={!frange l= u=}expr` on the index path (solr/core/.../search/
-        FunctionRangeQuery + FunctionRangeQParserPlugin): keep only hits
-        whose per-doc function value lies in [l, u] (bounds optional,
-        incl/incu control closedness), then shard top-k by the UNCHANGED
-        query score.  Pruning is off — the filter can drop any prefix of
-        the score order, so WAND bounds don't hold."""
-        docs, scores = self._franged_hits(node, idfs, expr_src, lo, hi, incl, incu, sim)
-        if docs.size == 0:
-            return _EMPTY_I64, np.empty(0, np.float32)
-        scores32 = scores.astype(np.float32)
-        if docs.size > k:
-            thresh = scores32[np.argpartition(-scores32, k - 1)[k - 1]]
-            cand = np.flatnonzero(scores32 >= thresh)
-            order = np.lexsort((docs[cand], -scores32[cand]))[:k]
-            sel = cand[order]
-            return docs[sel], scores32[sel]
-        order = np.lexsort((docs, -scores32))
-        return docs[order], scores32[order]
-
-    def count_franged(
-        self,
-        node: QueryNode,
-        idfs: dict[str, float],
-        expr_src: str,
-        lo: float | None,
-        hi: float | None,
-        incl: bool,
-        incu: bool,
-        sim: str = "bm25",
-    ) -> int:
-        """numFound for a {!frange}-filtered query: the top_k_franged mask
-        evaluated shard-side, only the COUNT crosses the wire (the
-        handle_select exotic-fq path no longer materializes ids)."""
-        docs, _ = self._franged_hits(node, idfs, expr_src, lo, hi, incl, incu, sim)
-        return int(docs.size)
-
-    def _franged_hits(
-        self,
-        node: QueryNode,
-        idfs: dict[str, float],
-        expr_src: str,
-        lo: float | None,
-        hi: float | None,
-        incl: bool,
-        incu: bool,
-        sim: str,
-    ):
-        """The ONE frange mask kernel (FunctionRangeQuery): evaluate the
-        query, compute the per-doc function value, keep hits in the
-        [l, u] window — shared by top_k_franged (page) and count_franged
-        (numFound) so closedness/column-resolution semantics can never
-        diverge between count and page."""
-        from ..functions.scalar import evaluate, parse_expr
-
-        docs, scores = self._eval(node, idfs, sim)
-        if docs.size == 0:
-            return _EMPTY_I64, _EMPTY_F64
-        expr, cols = self._expr_columns(parse_expr(expr_src), docs)
-        vals = np.broadcast_to(np.asarray(evaluate(expr, cols), np.float64), scores.shape)
-        mask = np.ones(docs.size, dtype=bool)
-        if lo is not None:
-            mask &= (vals >= lo) if incl else (vals > lo)
-        if hi is not None:
-            mask &= (vals <= hi) if incu else (vals < hi)
-        return docs[mask], scores[mask]
-
-    def scores_of(self, node: QueryNode, idfs: dict[str, float], docs: list[int], sim: str = "bm25"):
-        """(owned matching docIDs, float64 scores) restricted to the GIVEN
-        doc list — the second-pass scorer of ReRankQParserPlugin (a doc
-        outside the rerank query's match set contributes nothing)."""
-        d, s = self._eval(node, idfs, sim)
-        if d.size == 0:
-            return _EMPTY_I64, _EMPTY_F64
-        req = np.asarray(sorted(docs), np.int64)
-        pos = np.clip(np.searchsorted(d, req), 0, d.size - 1)
-        ok = d[pos] == req
-        return req[ok], s[pos[ok]]
-
-    @staticmethod
-    def _strict_after_mask(cols: dict, spec: list, docs: np.ndarray, after: tuple) -> np.ndarray:
-        """cursorMark on a field sort: rows STRICTLY after `after`
-        (= (v0, v1, ..., last_doc)) in the compound order — lexicographic
-        walk with missing-last semantics on every key, docID asc tiebreak."""
-        import pandas as pd
-
-        n = docs.size
-        after_m = np.zeros(n, bool)
-        eq = np.ones(n, bool)
-        for i, (_f, asc) in enumerate(spec):
-            v = pd.Series(cols[f"s{i}"])
-            a = after[i]
-            vna = v.isna().to_numpy()
-            if a is None or (isinstance(a, float) and np.isnan(a)):
-                gt = np.zeros(n, bool)  # nothing sorts after a missing key (na last)
-                eqi = vna
-            else:
-                cmp = (v > a) if asc else (v < a)
-                gt = np.where(vna, True, cmp.fillna(False).to_numpy(dtype=bool))
-                eqi = np.where(vna, False, (v == a).fillna(False).to_numpy(dtype=bool))
-            after_m |= eq & gt
-            eq &= eqi
-        after_m |= eq & (docs > int(after[-1]))
-        return after_m
-
-    def top_k_sorted(
-        self, node: QueryNode, idfs: dict[str, float], spec: list, k: int, after: tuple | None = None
-    ):
-        """Per-shard top-k of the match set ordered by a COMPOUND sort spec
-        (the Solr `sort=f1 asc, f2 desc` path — TopFieldCollector over a
-        SortField list).  Each (field, asc) entry resolves, in order, to a
-        numeric doc-values column, a STRING doc-values column
-        (SortedDocValues ordinal sort — we ship the bounded k values
-        instead of ordinals, the cross-segment merge-by-value analog), or
-        a function expression.  Ties break by docID asc; missing values
-        sort LAST on either direction (sortMissingLast=true, applied
-        identically at the driver merge).  → pandas frame of at most k
-        rows (s0..sN sort columns + doc), or None on an empty match set."""
-        import pandas as pd
-
-        docs, _ = self._eval(node, idfs, "bm25")
-        if docs.size == 0:
-            return None
-        cols = {}
-        for i, (field, _asc) in enumerate(spec):
-            if field.isidentifier():
-                ndv = self._load_numeric_dv(field)
-                if ndv is not None:
-                    fd, fv = ndv
-                    vals = fv[np.searchsorted(fd, docs)]
-                else:
-                    sdv = self._load_docvalues(field)
-                    if sdv is None:
-                        raise KeyError(f"unknown sort field {field!r}")
-                    fd, fv = sdv
-                    vals = fv[np.searchsorted(fd, docs)]
-            else:
-                from ..functions.scalar import evaluate, parse_expr
-
-                expr, ecols = self._expr_columns(parse_expr(field), docs)
-                vals = np.broadcast_to(
-                    np.asarray(evaluate(expr, ecols), np.float64), docs.shape
-                ).astype(np.float64)
-            cols[f"s{i}"] = vals
-        if after is not None:
-            m = self._strict_after_mask(cols, spec, docs, after)
-            if not m.any():
-                return None
-            docs = docs[m]
-            cols = {c: v[m] for c, v in cols.items()}
-        df = pd.DataFrame(cols)
-        df["doc"] = docs
-        return df.sort_values(
-            [f"s{i}" for i in range(len(spec))] + ["doc"],
-            ascending=[asc for _, asc in spec] + [True],
-            kind="mergesort",
-            na_position="last",
-        ).head(k)
 
     def numeric_dv_of(self, fields: list[str], docs: list[int]) -> dict:
         """{field: (owned docIDs, float64 values)} for the docs THIS actor
@@ -1655,6 +1105,13 @@ class IndexShard:
             ok = (fd[pos] == d) if fd.size else np.zeros(d.size, bool)
             out[f] = (d[ok], fv[pos[ok]])
         return out
+
+    # -- TermRange via the IndexOrDocValues cost model ---------------------
+    # lucene/core/src/java/org/apache/lucene/search/IndexOrDocValuesQuery
+    # .java: the same predicate is answerable from the term index (union of
+    # matching postings, cost ≈ Σ df) or from the doc-values column (full
+    # column scan, cost ≈ maxDoc); pick by estimated cost.
+    RANGE_SCAN_FRACTION = 8  # index wins when Σ df ≤ maxDoc / 8
 
     def _range_matching_terms(self, field: str, lo: str, hi: str):
         terms, dfs = self._term_dict()
@@ -1674,8 +1131,6 @@ class IndexShard:
         if dv is None:
             return _EMPTY_I64
         doc_ids, vals = dv
-        import pandas as pd
-
         valid = pd.notna(vals)  # docs without the field never match
         sv = vals[valid].astype("U")
         m = (sv >= lo) & (sv <= hi)
@@ -1719,112 +1174,6 @@ class IndexShard:
                 t.column("conv_id").to_numpy(zero_copy_only=False),
             )
         return self._docmap
-
-    def match_parents(
-        self,
-        node: QueryNode,
-        idfs: dict[str, float],
-        score_mode: str = "max",
-        sim: str = "bm25",
-        dead: np.ndarray | None = None,
-    ):
-        """ToParentBlockJoin aggregation SHARD-LOCAL: evaluate children,
-        mask tombstones, aggregate per conv (float64 accumulation in doc
-        order — identical to a sequential driver sum) and return only the
-        (conv_id, parent_score32) pairs.  The driver merges parent tuples,
-        never child hits."""
-        docs, scores = self._eval(node, idfs, sim)
-        if dead is not None and dead.size and docs.size:
-            live = ~np.isin(docs, dead)
-            docs, scores = docs[live], scores[live]
-        if docs.size == 0:
-            return np.empty(0, dtype=object), np.empty(0, dtype=np.float32)
-        fd, fc = self._load_docmap()
-        order = np.argsort(docs, kind="stable")
-        docs, scores = docs[order], scores[order]
-        convs = fc[np.searchsorted(fd, docs)]
-        s64 = scores.astype(np.float32).astype(np.float64)
-        new = np.empty(convs.size, dtype=bool)
-        new[0] = True
-        new[1:] = convs[1:] != convs[:-1]
-        starts = np.flatnonzero(new)
-        if score_mode == "max":
-            agg = np.maximum.reduceat(s64, starts)
-        elif score_mode == "total":
-            agg = np.add.reduceat(s64, starts)
-        else:
-            lens = np.diff(np.append(starts, convs.size))
-            agg = np.add.reduceat(s64, starts) / lens
-        return convs[starts], agg.astype(np.float32)
-
-    def match_parents_childfield(
-        self,
-        node: QueryNode,
-        idfs: dict[str, float],
-        field: str,
-        sel: str = "max",
-        sim: str = "bm25",
-    ):
-        """ToParentBlockJoinSortField (lucene/join/.../BlockJoinSelector
-        .java Type_min/Type_max): the parent's sort value is min|max of its
-        MATCHING children's numeric doc-values, aggregated shard-locally
-        per conv block — only (conv_id, value) pairs cross the wire
-        (childfield(f, $q) in Solr sort syntax)."""
-        docs, _ = self._eval(node, idfs, sim)
-        empty = (np.empty(0, dtype=object), np.empty(0, np.float64))
-        if docs.size == 0:
-            return empty
-        ndv = self._load_numeric_dv(field)
-        if ndv is None:
-            return empty
-        dd, vv = ndv
-        docs = np.sort(docs)
-        pos = np.searchsorted(dd, docs)
-        ok = (pos < dd.size) & (dd[np.minimum(pos, dd.size - 1)] == docs)
-        docs = docs[ok]
-        if docs.size == 0:
-            return empty
-        v = vv[pos[ok]]
-        fd, fc = self._load_docmap()
-        convs = fc[np.searchsorted(fd, docs)]
-        new = np.empty(convs.size, dtype=bool)
-        new[0] = True
-        new[1:] = convs[1:] != convs[:-1]
-        starts = np.flatnonzero(new)
-        agg = (
-            np.maximum.reduceat(v, starts) if sel == "max" else np.minimum.reduceat(v, starts)
-        )
-        return convs[starts], agg.astype(np.float64)
-
-    def match_children(
-        self,
-        node: QueryNode,
-        idfs: dict[str, float],
-        score_mode: str = "max",
-        sim: str = "bm25",
-    ):
-        """ToChildBlockJoinQuery analog (lucene/join/src/java/org/apache/
-        lucene/search/join/ToChildBlockJoinQuery.java), SHARD-LOCAL: the
-        parent query evaluates to (conv, parent_score) exactly as
-        `match_parents`, then every LIVE child doc of a matching conv is
-        emitted carrying its parent's score (the reference propagates the
-        parent score to each child).  Conv blocks never span doc-range
-        shards, so the join is local; the driver merges (doc, score32)."""
-        pconvs, pscores = self.match_parents(node, idfs, score_mode, sim)
-        if pconvs.size == 0:
-            return _EMPTY_I64, np.empty(0, dtype=np.float32)
-        fd, fc = self._load_docmap()
-        docs = fd.astype(np.int64)
-        # vectorized conv → parent-score gather: sort parents, searchsorted
-        order = np.argsort(pconvs, kind="stable")
-        sp, ss = pconvs[order], pscores[order]
-        pos = np.minimum(np.searchsorted(sp, fc), sp.size - 1)
-        hit = sp[pos] == fc
-        docs, scores = docs[hit], ss[pos[hit]]
-        live = self._live_mask(docs)
-        if live is not None:
-            docs, scores = docs[live], scores[live]
-        return docs, scores.astype(np.float32)
 
     def children_of(self, convs: list, limit: int) -> dict:
         """First `limit` LIVE child docIDs per conv — the fetch half of the
@@ -1896,17 +1245,7 @@ class IndexShard:
             s32 = scores.astype(np.float32)
             keep = (s32 < a_s) | ((s32 == a_s) & (docs > a_d))
             docs, scores = docs[keep], scores[keep]
-        scores32 = scores.astype(np.float32)
-        if docs.size > k:
-            # kth-highest score is the tie boundary; keep every candidate at
-            # or above it, then order exactly (score desc, docID asc)
-            thresh = scores32[np.argpartition(-scores32, k - 1)[k - 1]]
-            cand = np.flatnonzero(scores32 >= thresh)
-            order = np.lexsort((docs[cand], -scores32[cand]))[:k]
-            sel = cand[order]
-            return docs[sel], scores32[sel]
-        order = np.lexsort((docs, -scores32))
-        return docs[order], scores32[order]
+        return _cut_top_k(docs, scores.astype(np.float32), k)
 
     def _prunable_plan(self, node: QueryNode):
         """WAND/block-max pruning applies when every SCORED clause is an
@@ -2024,3 +1363,446 @@ class IndexShard:
             s = score_postings(pfreqs[mic[hit]], pnorms[mic[hit]], idfs.get(t, 0.0), self._cache_for(t))
             scores[hit] += s
         return docs, scores
+
+
+def _cut_top_k(docs: np.ndarray, scores32: np.ndarray, k: int):
+    """TopScoreDocCollector's cut: the top k by (float32 score desc, docID
+    asc).  The kth-highest score is the tie boundary — every candidate at
+    or above it is kept, then ordered exactly."""
+    if docs.size > k > 0:
+        thresh = scores32[np.argpartition(-scores32, k - 1)[k - 1]]
+        cand = np.flatnonzero(scores32 >= thresh)
+        sel = cand[np.lexsort((docs[cand], -scores32[cand]))[:k]]
+    else:
+        sel = np.lexsort((docs, -scores32))[: max(k, 0)]
+    return docs[sel], scores32[sel]
+
+
+# -- collectors ----------------------------------------------------------------
+# Each is `fn(shard, docs, scores, *args)` over the match set that
+# `IndexShard.collect` evaluated once (sorted docIDs, float64 scores) and
+# returns one bounded partial; `Searcher` holds the matching merge.
+
+
+def count_matches(shard, docs, scores) -> int:
+    """numFound: only the hit COUNT crosses the wire."""
+    return int(docs.size)
+
+
+def facet_query_counts(shard, docs, scores, subs: list) -> list:
+    """facet.query (SimpleFacets.getFacetQueryCounts): hit count of each
+    (sub-node, weights) INTERSECTED with the match set — each sub
+    evaluates once per shard, only counts cross the wire."""
+    out = []
+    for sn, sidfs in subs:
+        if sn is None or docs.size == 0:
+            out.append(0)
+            continue
+        sd, _ = shard._eval(sn, sidfs, "bm25")
+        out.append(int(np.intersect1d(docs, sd, assume_unique=True).size))
+    return out
+
+
+def facet_counts(shard, docs, scores, field: str):
+    """facet.field over the match set (SimpleFacets over a DocSet):
+    (values, counts, n_missing), bounded by the field's value domain."""
+    none = np.empty(0, dtype=object)
+    at = shard._dv_at(field, docs)
+    if at is None:  # no dv column at all: every match counts as missing
+        return none, _EMPTY_I64, int(docs.size)
+    vals, present = at
+    n_missing = int(docs.size - present.sum())
+    if not present.any():
+        return none, _EMPTY_I64, n_missing
+    uniq, cnt = np.unique(vals[present].astype(str), return_counts=True)
+    return uniq.astype(object), cnt.astype(np.int64), n_missing
+
+
+def facet_tuple_counts(shard, docs, scores, fields: list[str]):
+    """facet.pivot / nested terms partial over the match set: per-shard
+    value-tuple → count over docs carrying EVERY field, bounded by the
+    domain product.  → frame (v0..vN-1, n) or None."""
+    cols = {}
+    keep = np.ones(docs.size, dtype=bool)
+    for i, f in enumerate(fields):
+        at = shard._dv_at(f, docs)
+        if at is None:
+            return None
+        cols[f"v{i}"], present = at
+        keep &= present
+    if not keep.any():
+        return None
+    df = pd.DataFrame({c: v[keep].astype(str) for c, v in cols.items()})
+    return df.groupby(list(cols), as_index=False).size().rename(columns={"size": "n"})
+
+
+def range_facet_counts(shard, docs, scores, field: str, start: float, end: float, gap: float):
+    """facet.range over the match set (RangeFacetProcessor): fixed
+    [start, end) buckets of width `gap` plus before/after counts — a
+    bounded (n_buckets+2) int64 vector."""
+    n_buckets = int(np.ceil((end - start) / gap))
+    counts = np.zeros(n_buckets + 2, dtype=np.int64)  # [before, buckets..., after]
+    if not docs.size:
+        return counts
+    vals = shard._num_at(field, docs)
+    before = vals < start
+    after = vals >= start + n_buckets * gap
+    mid = ~(before | after)
+    counts[0] = int(before.sum())
+    counts[-1] = int(after.sum())
+    if mid.any():
+        idx = ((vals[mid] - start) // gap).astype(np.int64)
+        counts[1:-1] += np.bincount(idx, minlength=n_buckets)
+    return counts
+
+
+def stats_partial(shard, docs, scores, field: str, with_digest: bool):
+    """StatsComponent partial over the match set: (count, Σx, Σx², min,
+    max) in EXACT integer arithmetic (partials merge exactly in any
+    order); `with_digest` appends the t-digest centroids for
+    stats.percentiles."""
+    if not docs.size:
+        return (0, 0, 0, None, None) + ((None,) if with_digest else ())
+    vals = shard._num_at(field, docs)
+    iv = vals.astype(np.int64)
+    if not np.array_equal(iv.astype(np.float64), vals):
+        raise ValueError(f"stats over non-integral doc values field {field!r} unsupported")
+    out = (
+        int(docs.size),
+        int(iv.sum(dtype=object)),
+        int((iv.astype(object) * iv.astype(object)).sum()),
+        int(iv.min()),
+        int(iv.max()),
+    )
+    if with_digest:
+        from ..state.tdigest import TDigest
+
+        td = TDigest.of(vals)
+        out = out + ((td.means, td.weights),)
+    return out
+
+
+def _keyed_hits(shard, docs, scores, field: str):
+    """(docs, float32 scores, values) of the hits carrying a `field`
+    value, or None when none does."""
+    at = shard._dv_at(field, docs)
+    if at is None or not at[1].any():
+        return None
+    vals, present = at
+    return docs[present], scores[present].astype(np.float32), vals[present]
+
+
+def facet_stats_partial(shard, docs, scores, field: str, stat_field: str) -> list:
+    """Terms facet with sub-stats over the match set: per `field` value,
+    (count, Σx, min, max) of `stat_field` in exact int64."""
+    hits = _keyed_hits(shard, docs, scores, field)
+    if hits is None:
+        return []
+    docs, _, vals = hits
+    x = shard._num_at(stat_field, docs)
+    ix = x.astype(np.int64)
+    if not np.array_equal(ix.astype(np.float64), x):
+        raise ValueError(f"facet stats over non-integral field {stat_field!r} unsupported")
+    codes, uniq = pd.factorize(vals)
+    cnt = np.bincount(codes)
+    s = np.bincount(codes, weights=ix).astype(np.int64)  # exact ≤ 2^53 per shard
+    mn = np.full(uniq.size, np.iinfo(np.int64).max)
+    mx = np.full(uniq.size, np.iinfo(np.int64).min)
+    np.minimum.at(mn, codes, ix)
+    np.maximum.at(mx, codes, ix)
+    return [(str(uniq[i]), int(cnt[i]), int(s[i]), int(mn[i]), int(mx[i])) for i in range(uniq.size)]
+
+
+def top_groups(shard, docs, scores, field: str, j: int):
+    """Grouped-search partial (FirstPassGroupingCollector +
+    TopGroupsCollector in one pass): top-j hits per `field` group by
+    (score desc, docID asc).  → (docs, float32 scores, values)."""
+    hits = _keyed_hits(shard, docs, scores, field)
+    if hits is None:
+        return _EMPTY_I64, np.empty(0, np.float32), np.empty(0, dtype=object)
+    docs, scores, vals = hits
+    order = np.lexsort((docs, -scores))
+    docs, scores, vals = docs[order], scores[order], vals[order]
+    codes, _ = pd.factorize(vals)
+    # rank within group: stable-sort by group preserves the rank order
+    by_grp = np.argsort(codes, kind="stable")
+    grp_sorted = codes[by_grp]
+    starts = np.flatnonzero(np.concatenate(([True], grp_sorted[1:] != grp_sorted[:-1])))
+    width = np.arange(grp_sorted.size) - np.repeat(starts, np.diff(np.append(starts, grp_sorted.size)))
+    sel = np.sort(by_grp[width < j])  # back to global rank order
+    return docs[sel], scores[sel], vals[sel]
+
+
+def top_groups_sorted(shard, docs, scores, field: str, j: int, sort_field: str, sort_asc: bool):
+    """group.sort=<numeric dv field> (withinGroupSort ≠ main sort): per
+    group the top-j docs BY THE GROUP SORT plus the group's best (score,
+    doc) for group ranking.  → frame (doc, score, val, sv, gmax, gdoc)."""
+    hits = _keyed_hits(shard, docs, scores, field)
+    if hits is None:
+        return None
+    docs, scores, vals = hits
+    df = pd.DataFrame({"doc": docs, "score": scores, "val": vals, "sv": shard._num_at(sort_field, docs)})
+    best = df.sort_values(["score", "doc"], ascending=[False, True], kind="mergesort").drop_duplicates("val")
+    gmax = dict(zip(best["val"], best["score"]))
+    gdoc = dict(zip(best["val"], best["doc"]))
+    df = df.sort_values(["sv", "doc"], ascending=[sort_asc, True], kind="mergesort")
+    df = df.groupby("val", sort=False).head(j)
+    df["gmax"] = df["val"].map(gmax).astype(np.float32)
+    df["gdoc"] = df["val"].map(gdoc).astype(np.int64)
+    return df
+
+
+def top_k_collapse(shard, docs, scores, field: str, k: int, sel_op, sel_field, null_policy: str):
+    """Query-time collapse (CollapsingQParserPlugin): the group head per
+    `field` value — by (score desc, docID asc), or by min/max of a numeric
+    dv field for `sel_op` (the head keeps its QUERY score).  Field-less
+    docs: ignore drops them, expand keeps each (a k cut is safe —
+    singleton groups), collapse folds them into ONE null group.  Every
+    group winner returns (another shard may beat any group's best), so
+    the merge is group-domain-bounded.  → (docs, scores, values, sel)."""
+    empty = (_EMPTY_I64, _EMPTY_F64, np.empty(0, dtype=object), _EMPTY_F64)
+    at = shard._dv_at(field, docs) if docs.size else None
+    if at is None:
+        return empty
+    vals, keep = at
+    nd_, ns_ = docs[~keep], scores[~keep].astype(np.float32)  # null-group docs
+    docs, scores, vals = docs[keep], scores[keep].astype(np.float32), vals[keep]
+
+    def with_nulls(res):
+        if null_policy == "ignore" or not nd_.size:
+            return res
+        order = np.lexsort((nd_, -ns_))
+        order = order[:1] if null_policy == "collapse" else order[:k]
+        return (
+            np.concatenate([res[0], nd_[order]]),
+            np.concatenate([res[1], ns_[order]]),
+            np.concatenate([res[2], np.full(order.size, None, dtype=object)]),
+            np.concatenate([res[3], np.zeros(order.size)]),
+        )
+
+    if not docs.size:
+        return with_nulls(empty)
+    if sel_op is None:
+        order = np.lexsort((docs, -scores))
+        selv_sorted = None
+    else:
+        selv = shard._num_at(sel_field, docs)
+        order = np.lexsort((docs, selv if sel_op == "min" else -selv))
+        selv_sorted = selv[order]
+    docs, scores, vals = docs[order], scores[order], vals[order]
+    codes, _ = pd.factorize(vals)
+    _, first_idx = np.unique(codes, return_index=True)  # first hit per
+    sel = np.sort(first_idx)  # group in head order — vectorized
+    out_sel = selv_sorted[sel] if selv_sorted is not None else np.zeros(sel.size)
+    return with_nulls((docs[sel], scores[sel], vals[sel], out_sel))
+
+
+def expand_members(shard, docs, scores, field: str, group_vals: list, exclude: list, limit: int):
+    """ExpandComponent: for the GIVEN head groups, the top `limit` OTHER
+    matching members per group by (score desc, docID asc) — at most
+    |groups|·limit rows leave the shard."""
+    hits = _keyed_hits(shard, docs, scores, field)
+    if hits is None:
+        return None
+    docs, scores, vals = hits
+    keep = pd.Series(vals).isin(group_vals).to_numpy() & ~np.isin(docs, np.asarray(exclude, np.int64))
+    if not keep.any():
+        return None
+    df = pd.DataFrame({"doc": docs[keep], "score": scores[keep], "val": vals[keep]})
+    df = df.sort_values(["score", "doc"], ascending=[False, True], kind="mergesort")
+    return df.groupby("val", sort=False).head(limit)
+
+
+def _strict_after_mask(cols: dict, spec: list, docs: np.ndarray, after: tuple) -> np.ndarray:
+    """cursorMark on a field sort: rows STRICTLY after `after`
+    (= (v0, v1, ..., last_doc)) in the compound order — lexicographic
+    walk with missing-last semantics on every key, docID asc tiebreak."""
+    n = docs.size
+    after_m = np.zeros(n, bool)
+    eq = np.ones(n, bool)
+    for i, (_f, asc) in enumerate(spec):
+        v = pd.Series(cols[f"s{i}"])
+        a = after[i]
+        vna = v.isna().to_numpy()
+        if a is None or (isinstance(a, float) and np.isnan(a)):
+            gt = np.zeros(n, bool)  # nothing sorts after a missing key (na last)
+            eqi = vna
+        else:
+            cmp = (v > a) if asc else (v < a)
+            gt = np.where(vna, True, cmp.fillna(False).to_numpy(dtype=bool))
+            eqi = np.where(vna, False, (v == a).fillna(False).to_numpy(dtype=bool))
+        after_m |= eq & gt
+        eq &= eqi
+    after_m |= eq & (docs > int(after[-1]))
+    return after_m
+
+
+def top_k_sorted(shard, docs, scores, spec: list, k: int, after: tuple | None):
+    """Top-k of the match set by a COMPOUND sort spec (TopFieldCollector
+    over a SortField list).  Each (field, asc) resolves to a numeric dv
+    column, a STRING dv column (the bounded k values ship instead of
+    ordinals) or a function expression.  Ties by docID asc, missing
+    values LAST either way; `after` is the cursorMark bound, applied
+    before the cut.  → frame of ≤ k rows (s0..sN, doc) or None."""
+    if docs.size == 0:
+        return None
+    cols = {}
+    for i, (field, _asc) in enumerate(spec):
+        if field.isidentifier():
+            at = shard._dv_at(field, docs, numeric=True) or shard._dv_at(field, docs)
+            if at is None:
+                raise KeyError(f"unknown sort field {field!r}")
+            cols[f"s{i}"] = at[0]
+        else:
+            from ..functions.scalar import evaluate, parse_expr
+
+            expr, ecols = shard._expr_columns(parse_expr(field), docs)
+            cols[f"s{i}"] = np.broadcast_to(np.asarray(evaluate(expr, ecols), np.float64), docs.shape).astype(np.float64)
+    if after is not None:
+        m = _strict_after_mask(cols, spec, docs, after)
+        if not m.any():
+            return None
+        docs = docs[m]
+        cols = {c: v[m] for c, v in cols.items()}
+    df = pd.DataFrame(cols)
+    df["doc"] = docs
+    return df.sort_values(
+        [f"s{i}" for i in range(len(spec))] + ["doc"],
+        ascending=[asc for _, asc in spec] + [True],
+        kind="mergesort",
+        na_position="last",
+    ).head(k)
+
+
+def scores_of(shard, docs, scores, req: list[int]):
+    """(owned matching docIDs, float64 scores) restricted to the GIVEN
+    doc list — ReRankQParserPlugin's second-pass scorer."""
+    if docs.size == 0:
+        return _EMPTY_I64, _EMPTY_F64
+    req = np.asarray(sorted(req), np.int64)
+    pos = np.clip(np.searchsorted(docs, req), 0, docs.size - 1)
+    ok = docs[pos] == req
+    return req[ok], scores[pos[ok]]
+
+
+def top_k_boosted(shard, docs, scores, k: int, expr_src: str):
+    """`{!boost b=expr}` (BoostQParserPlugin → FunctionScoreQuery
+    .boostByValue): score × per-doc function value in float64 BEFORE the
+    float32 cast, then the top-k cut.  No WAND — its score bounds don't
+    survive a per-doc multiplier."""
+    from ..functions.scalar import evaluate, parse_expr
+
+    if docs.size == 0:
+        return _EMPTY_I64, np.empty(0, np.float32)
+    expr, cols = shard._expr_columns(parse_expr(expr_src), docs)
+    boosted = scores * np.broadcast_to(np.asarray(evaluate(expr, cols), np.float64), scores.shape)
+    return _cut_top_k(docs, boosted.astype(np.float32), k)
+
+
+def franged_hits(shard, docs, scores, expr_src: str, lo, hi, incl: bool, incu: bool, k: int):
+    """`fq={!frange l= u=}expr` (FunctionRangeQuery): keep the hits whose
+    per-doc function value lies in the [l, u] window (bounds optional,
+    incl/incu closedness).  → (hit count, top-k docs, float32 scores) by
+    the UNCHANGED query score — numFound and the page come from the one
+    mask, so they can never disagree."""
+    from ..functions.scalar import evaluate, parse_expr
+
+    if docs.size == 0:
+        return 0, _EMPTY_I64, np.empty(0, np.float32)
+    expr, cols = shard._expr_columns(parse_expr(expr_src), docs)
+    vals = np.broadcast_to(np.asarray(evaluate(expr, cols), np.float64), scores.shape)
+    mask = np.ones(docs.size, dtype=bool)
+    if lo is not None:
+        mask &= (vals >= lo) if incl else (vals > lo)
+    if hi is not None:
+        mask &= (vals <= hi) if incu else (vals < hi)
+    docs, scores = docs[mask], scores[mask]
+    return (int(docs.size),) + _cut_top_k(docs, scores.astype(np.float32), k)
+
+
+def _conv_runs(shard, docs):
+    """(conv per doc, start index of each conv run) for sorted `docs` —
+    conv blocks never span doc-range shards, so a run is a whole parent."""
+    fd, fc = shard._load_docmap()
+    convs = fc[np.searchsorted(fd, docs)]
+    new = np.empty(convs.size, dtype=bool)
+    new[0] = True
+    new[1:] = convs[1:] != convs[:-1]
+    return convs, np.flatnonzero(new)
+
+
+def match_parents(shard, docs, scores, score_mode: str):
+    """ToParentBlockJoin aggregation SHARD-LOCAL: per conv, max | total |
+    avg of its matching child scores (float64 accumulation in doc order,
+    identical to a sequential driver sum).  → (conv_id, float32 score)."""
+    if docs.size == 0:
+        return np.empty(0, dtype=object), np.empty(0, dtype=np.float32)
+    convs, starts = _conv_runs(shard, docs)
+    s64 = scores.astype(np.float32).astype(np.float64)
+    if score_mode == "max":
+        agg = np.maximum.reduceat(s64, starts)
+    elif score_mode == "total":
+        agg = np.add.reduceat(s64, starts)
+    else:
+        agg = np.add.reduceat(s64, starts) / np.diff(np.append(starts, convs.size))
+    return convs[starts], agg.astype(np.float32)
+
+
+def match_children(shard, docs, scores, score_mode: str):
+    """ToChildBlockJoinQuery, SHARD-LOCAL: the parent query aggregates to
+    (conv, parent score) exactly as `match_parents`, then every LIVE child
+    of a matching conv carries its parent's score.  → (doc, float32)."""
+    pconvs, pscores = match_parents(shard, docs, scores, score_mode)
+    if pconvs.size == 0:
+        return _EMPTY_I64, np.empty(0, dtype=np.float32)
+    fd, fc = shard._load_docmap()
+    # vectorized conv → parent-score gather: sort parents, searchsorted
+    order = np.argsort(pconvs, kind="stable")
+    sp, ss = pconvs[order], pscores[order]
+    pos = np.minimum(np.searchsorted(sp, fc), sp.size - 1)
+    hit = sp[pos] == fc
+    kids, kscores = fd.astype(np.int64)[hit], ss[pos[hit]]
+    live = shard._live_mask(kids)
+    if live is not None:
+        kids, kscores = kids[live], kscores[live]
+    return kids, kscores.astype(np.float32)
+
+
+def match_parents_childfield(shard, docs, scores, field: str, sel: str):
+    """ToParentBlockJoinSortField (BlockJoinSelector min/max): a parent's
+    sort value is min|max of `field` over its MATCHING children,
+    aggregated per conv shard-locally.  → (conv_id, float64 value)."""
+    empty = (np.empty(0, dtype=object), np.empty(0, np.float64))
+    at = shard._dv_at(field, docs, numeric=True) if docs.size else None
+    if at is None or not at[1].any():
+        return empty
+    vals, present = at
+    convs, starts = _conv_runs(shard, docs[present])
+    v = vals[present]
+    agg = np.maximum.reduceat(v, starts) if sel == "max" else np.minimum.reduceat(v, starts)
+    return convs[starts], agg.astype(np.float64)
+
+
+COLLECT = {
+    fn.__name__: fn
+    for fn in (
+        count_matches,
+        facet_query_counts,
+        facet_counts,
+        facet_tuple_counts,
+        range_facet_counts,
+        stats_partial,
+        facet_stats_partial,
+        top_groups,
+        top_groups_sorted,
+        top_k_collapse,
+        expand_members,
+        top_k_sorted,
+        scores_of,
+        top_k_boosted,
+        franged_hits,
+        match_parents,
+        match_children,
+        match_parents_childfield,
+    )
+}

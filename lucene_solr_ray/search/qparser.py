@@ -153,18 +153,8 @@ def dispatch(
             qname, qp, qbody = parse_local_params(q)
             if qname != "lucene":
                 raise QParserError(f"plain fq composes with the default parser only, not {{!{qname}}}")
-            main = _lucene_main_node(searcher, qp, qbody)
-            if main is None:
-                return []
-            from .query import QueryNode
-
-            clauses = [("MUST", main)]
-            for f in fqs:
-                fn = searcher._parse(f)
-                if fn is None:
-                    return []
-                clauses.append(("FILTER", fn))
-            return searcher.search_node(QueryNode("bool", clauses=clauses), k, similarity=similarity)
+            node = searcher._compose_fq(_lucene_main_node(searcher, qp, qbody), fqs)
+            return [] if node is None else searcher.search_node(node, k, similarity=similarity)
         if len(fqs) > 1:
             raise QParserError("only one {!...} local-params fq is supported per request")
         fname, fparams, fbody = parse_local_params(fq)

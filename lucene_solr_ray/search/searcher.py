@@ -1,14 +1,25 @@
-"""Driver-side distributed searcher: scatter to shard actors, merge top-k.
+"""Driver-side distributed searcher: scatter to shard actors, merge.
 
 The two-phase SolrCloud scatter-gather (SURVEY.md §3.2,
 solr/core/src/java/org/apache/solr/handler/component/QueryComponent.java ::
-createMainQuery/mergeIds):
+createMainQuery/mergeIds) with Lucene's Collector / CollectorManager
+split (SURVEY.md §2.7) as the one shape of every query-scoped feature:
 
-- Phase EXECUTE_QUERY: the parsed query + per-term idf (from the build-time
-  global stats — the ExactStatsCache analog) goes to every shard actor; each
-  returns only (docID, score) for its local top-k.
-- Merge: (score desc, docID asc) over k·P rows on the driver — the
-  TopDocs.merge pattern (never a distributed sort).
+- Ranked page: the parsed query + per-term weights (from the build-time
+  global stats — the ExactStatsCache analog) go to every shard actor's
+  `top_k` (result-cached, WAND-pruned); each returns only (docID, score)
+  for its local top-k, and `_merge_top_k` keeps (score desc, docID asc)
+  over k·P rows — the TopDocs.merge pattern, never a distributed sort.
+- Everything else over the match set — numFound, facet.field /
+  facet.query / facet.range / facet.pivot, stats, grouping, field sorts,
+  collapse/expand, function-scored and function-filtered top-k, block
+  joins — is a COLLECTOR: `_collect` parses, composes fq, rewrites and
+  weighs once, then ONE `collect` scatter evaluates the match set once
+  per shard and runs every asked-for collector (`actor.COLLECT`) over it.
+  Each collector returns one bounded partial and pairs with one driver
+  merge (`_Collect`), so a query-scoped feature is one collector plus one
+  merge, and `handle_select` answers numFound and all its sections in a
+  single request next to the page.
 - Phase GET_FIELDS: `fetch` materializes stored fields (conv_id, turn_idx)
   for the winners only, by reading just the norms/docmap segments whose
   docID range covers them.
@@ -27,6 +38,7 @@ from __future__ import annotations
 import json
 import re
 from pathlib import Path
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 import pandas as pd
@@ -36,6 +48,175 @@ import pyarrow.parquet as pq
 from .actor import IndexShard
 from .bm25 import LazyBM25Stats, classic_idf, dfr_weight, make_norm_cache
 from .query import MAX_EXPANSIONS, QueryNode, multi_term_nodes, node_key, parse_query, rewrite_with
+from .qparser import QParserError
+
+
+class _Collect(NamedTuple):
+    """One query-scoped feature: the shard collector it asks for (`spec` =
+    (name in `actor.COLLECT`, *args)), the driver merge of that
+    collector's per-shard partials, and its result when q or an fq
+    analyzes to nothing."""
+
+    spec: tuple
+    merge: Callable[[list], Any]
+    empty: Any
+
+
+_COUNT = _Collect(("count_matches",), sum, 0)  # numFound
+
+
+def _facet_field_collector(field: str, limit: int, missing: bool, sort: str) -> _Collect:
+    """facet.field: shard value→count partials summed, ranked (count desc,
+    value asc) or by value (facet.sort=index); facet.missing appends the
+    None bucket after the limit cut."""
+
+    def merge(parts):
+        agg: dict[str, int] = {}
+        n_missing = 0
+        for vals, cnts, nm in parts:
+            n_missing += nm
+            for v, c in zip(vals.tolist(), cnts.tolist()):
+                agg[v] = agg.get(v, 0) + c
+        key = (lambda p: p[0]) if sort == "index" else (lambda p: (-p[1], p[0]))
+        out = sorted(agg.items(), key=key)[:limit]
+        if missing:
+            out.append((None, n_missing))
+        return out
+
+    return _Collect(("facet_counts", field), merge, [])
+
+
+def _range_facet_collector(field: str, start: float, end: float, gap: float) -> _Collect:
+    """facet.range: shard [before, buckets..., after] vectors summed.  The
+    bucket arithmetic needs finite bounds, gap > 0 and end > start —
+    checked here, before any shard is asked."""
+    if not (np.isfinite([start, end, gap]).all() and gap > 0 and end > start):
+        raise QParserError(
+            f"facet.range needs finite start < end and gap > 0 (start={start}, end={end}, gap={gap})"
+        )
+
+    def merge(parts):
+        total = np.sum(parts, axis=0)
+        return {
+            "counts": [(start + i * gap, int(total[1 + i])) for i in range(total.size - 2)],
+            "before": int(total[0]),
+            "after": int(total[-1]),
+        }
+
+    return _Collect(("range_facet_counts", field, start, end, gap), merge, {"counts": [], "before": 0, "after": 0})
+
+
+def _stats_collector(field: str, percentiles: list[float] | None) -> _Collect:
+    """stats.field: exact integer moment partials summed; percentiles from
+    the merged per-shard t-digests."""
+    import math
+
+    def merge(parts):
+        n = sum(p[0] for p in parts)
+        if n == 0:
+            return {"count": 0}
+        s1 = sum(p[1] for p in parts)
+        s2 = sum(p[2] for p in parts)
+        var = (s2 - s1 * s1 / n) / (n - 1) if n > 1 else 0.0
+        out = {
+            "count": n,
+            "sum": s1,
+            "mean": s1 / n,
+            "min": min(p[3] for p in parts if p[3] is not None),
+            "max": max(p[4] for p in parts if p[4] is not None),
+            "stddev": math.sqrt(max(var, 0.0)),
+        }
+        if percentiles:
+            from ..state.tdigest import TDigest
+
+            td = TDigest()
+            for p in parts:
+                if p[5] is not None:
+                    td = td.merge(TDigest(p[5][0], p[5][1]))
+            out["percentiles"] = {float(q): float(td.quantile(q / 100.0)) for q in percentiles}
+        return out
+
+    return _Collect(("stats_partial", field, bool(percentiles)), merge, {"count": 0})
+
+
+def _pivot_collector(fields: list[str], limit: int) -> _Collect:
+    """facet.pivot: value-tuple count partials summed; every level's
+    counts derive from the one tuple frame, (count desc, value asc),
+    `limit` per level."""
+    keys = [f"v{i}" for i in range(len(fields))]
+
+    def nest(sub: pd.DataFrame, depth: int) -> list[dict]:
+        lvl = (
+            sub.groupby(keys[depth], as_index=False)["n"].sum()
+            .sort_values(["n", keys[depth]], ascending=[False, True], kind="mergesort")
+            .head(limit)
+        )
+        out = []
+        for v, c in zip(lvl[keys[depth]], lvl["n"]):
+            entry = {"field": fields[depth], "value": str(v), "count": int(c)}
+            if depth + 1 < len(fields):
+                entry["pivot"] = nest(sub[sub[keys[depth]] == v], depth + 1)
+            out.append(entry)
+        return out
+
+    def merge(parts):
+        parts = [p for p in parts if p is not None]
+        if not parts:
+            return []
+        return nest(pd.concat(parts, ignore_index=True).groupby(keys, as_index=False)["n"].sum(), 0)
+
+    return _Collect(("facet_tuple_counts", list(fields)), merge, [])
+
+
+def _group_collector(field: str, k: int, group_limit: int, group_sort: str | None) -> _Collect:
+    """group.field: the top-k groups by best hit (score desc, docID asc),
+    each with its top `group_limit` members — by score, or by a numeric
+    dv field under group.sort (groups still rank by their best hit)."""
+    if group_sort is None:
+
+        def merge(parts):
+            frames = [pd.DataFrame({"doc": d, "score": s, "val": v.astype(object)}) for d, s, v in parts if d.size]
+            if not frames:
+                return []
+            g = pd.concat(frames).sort_values(["score", "doc"], ascending=[False, True], kind="mergesort")
+            g["rank_in_group"] = g.groupby("val").cumcount()
+            g = g[g["rank_in_group"] < group_limit]
+            heads = g.drop_duplicates("val").head(k)  # groups in best-hit order
+            out = []
+            for val in heads["val"]:
+                rows = g[g["val"] == val]
+                out.append((str(val), [(int(d), float(s)) for d, s in zip(rows["doc"], rows["score"])]))
+            return out
+
+        return _Collect(("top_groups", field, group_limit), merge, [])
+    spec = Searcher._parse_sort_spec(group_sort, True)
+    if len(spec) != 1:
+        raise ValueError("group.sort takes a single numeric field")
+    [(sfield, sasc)] = spec
+
+    def merge_sorted(parts):
+        parts = [p for p in parts if p is not None]
+        if not parts:
+            return []
+        g = pd.concat(parts, ignore_index=True)
+        best = (
+            g.sort_values(["gmax", "gdoc"], ascending=[False, True], kind="mergesort")
+            .drop_duplicates("val")
+            .head(k)
+        )
+        g = g.sort_values(["sv", "doc"], ascending=[sasc, True], kind="mergesort")
+        out = []
+        for val in best["val"]:
+            rows = g[g["val"] == val].head(group_limit)
+            out.append((str(val), [(int(d), float(s)) for d, s in zip(rows["doc"], rows["score"])]))
+        return out
+
+    return _Collect(("top_groups_sorted", field, group_limit, sfield, sasc), merge_sorted, [])
+
+
+def _top_k_collector(spec: tuple, k: int) -> _Collect:
+    """A collector whose shard partial is a (docIDs, float32 scores) top-k."""
+    return _Collect(spec, lambda parts: Searcher._merge_top_k(parts, k), [])
 
 
 class Searcher:
@@ -146,7 +327,12 @@ class Searcher:
 
     # -- distributed term-dictionary operations ---------------------------
     def _scatter(self, method: str, *args):
-        """Call an IndexShard method on every actor, gather the results.
+        """Call an IndexShard method on every actor, gather the results —
+        the ONE round trip to the pool.  Query-scoped features all travel
+        as `_scatter("collect", ...)` (see `_collect`); the other targets
+        are the ranked page (`top_k`), whole-match-set readers
+        (`match_all`, `join_values`, `export_shard_sorted`), dictionary
+        partials (expand, terms, spellcheck) and admin calls.
 
         `self.tolerant` is Solr's `shards.tolerant=true` (solr/core/.../
         handler/component/SearchHandler.java partialResults): a dead shard
@@ -171,6 +357,37 @@ class Searcher:
                 raise RuntimeError("all shards failed (tolerant scatter)")
             return out
         return [getattr(a, method)(*args) for a in self.actors]
+
+    def _prepare(self, query, fq=None, similarity: str = "bm25"):
+        """The one query preamble: parse (a string; a QueryNode passes
+        through, so q.op survives), compose plain `fq`, rewrite multi-term
+        leaves shard-side, weigh from the global stats.  → (node,
+        weights), or None when q or an fq analyzes to nothing."""
+        node = self._parse(query) if isinstance(query, str) else query
+        node = self._rewrite(self._compose_fq(node, fq))
+        return None if node is None else (node, self._weights_for(node, similarity))
+
+    def _collect(self, query, collectors: list[_Collect], fq=None, similarity: str = "bm25") -> list:
+        """Every query-scoped feature's request: `_prepare` once, then ONE
+        `collect` scatter — each shard evaluates the match set once and
+        runs every collector's spec over it.  → per collector, its merge
+        of the shard partials, or its `empty` result when q or an fq
+        analyzes to nothing."""
+        prep = self._prepare(query, fq, similarity)
+        if prep is None:
+            return [c.empty for c in collectors]
+        parts = self._scatter("collect", *prep, similarity, [c.spec for c in collectors])
+        return [c.merge([p[i] for p in parts]) for i, c in enumerate(collectors)]
+
+    @staticmethod
+    def _merge_top_k(parts, k: int) -> list[tuple[int, float]]:
+        """TopDocs.merge: the global top k by (score desc, docID asc) over
+        per-shard (docIDs, float32 scores) partials — k·P rows, never a
+        distributed sort."""
+        docs = np.concatenate([p[0] for p in parts]) if parts else np.empty(0, np.int64)
+        scores = np.concatenate([p[1] for p in parts]) if parts else np.empty(0, np.float32)
+        order = np.lexsort((docs, -scores))[:k]
+        return [(int(docs[i]), float(scores[i])) for i in order]
 
     def _rewrite(self, node):
         """Distributed Query.rewrite: multi-term leaves expand SHARD-SIDE
@@ -351,13 +568,11 @@ class Searcher:
         weighted and scattered over the other collection's shards; only
         its distinct join keys travel to this one."""
         src = from_searcher or self
-        node = self._parse(subquery)
-        if node is None:
+        prep = src._prepare(self._parse(subquery))
+        if prep is None:
             return []
-        node = src._rewrite(node)
-        idfs = src._weights_for(node)
         merged: dict = {}
-        for part in src._scatter("join_values", node, idfs, from_field):
+        for part in src._scatter("join_values", *prep, from_field):
             for v, s, c, m in part:
                 cur = merged.get(v)
                 if cur is None:
@@ -416,15 +631,12 @@ class Searcher:
         frontier is re-expressed as a key-set query, so per-doc frontiers
         never materialize on the driver.  Traversal stops early once a hop
         adds no new keys."""
-        node = self._parse(root_query)
-        if node is None:
+        prep = self._prepare(root_query)
+        if prep is None:
             return []
-        node = self._rewrite(node)
-        idfs = self._weights_for(node)
-        tf_node = self._parse(traversal_filter) if traversal_filter else None
-        if tf_node is not None:
-            tf_node = self._rewrite(tf_node)
-            idfs = {**idfs, **self._weights_for(tf_node)}
+        node, idfs = prep
+        tf_node, tf_idfs = (self._prepare(traversal_filter) if traversal_filter else None) or (None, {})
+        idfs = {**idfs, **tf_idfs}
 
         def filtered(n: QueryNode) -> QueryNode:
             if tf_node is None:
@@ -459,19 +671,21 @@ class Searcher:
         return [(d, 1.0) for d, _ in hits]
 
     def _compose_fq(self, node, fq):
-        """Attach plain filter queries as FILTER clauses (match required,
-        no score).  Returns None when any fq analyzes to nothing (a filter
-        on a stopword matches nothing)."""
-        if node is None:
-            return None
-        for f in [fq] if isinstance(fq, str) else (fq or []):
+        """q ∩ plain filter queries as ONE flat bool: MUST q plus one
+        FILTER clause per fq (match required, no score).  Every fq path
+        builds this same node, so their result-cache keys agree.  None
+        when q or any fq analyzes to nothing (a filter on a stopword
+        matches nothing)."""
+        fqs = [fq] if isinstance(fq, str) else list(fq or [])
+        if node is None or not fqs:
+            return node
+        clauses = [("MUST", node)]
+        for f in fqs:
             fn = self._parse(f)
             if fn is None:
                 return None
-            from .query import QueryNode
-
-            node = QueryNode("bool", clauses=[("MUST", node), ("FILTER", fn)])
-        return node
+            clauses.append(("FILTER", fn))
+        return QueryNode("bool", clauses=clauses)
 
     def count(self, query, fq: str | list[str] | None = None) -> int:
         """Total hit count of a query (numFound / rows=0) — each shard
@@ -479,14 +693,7 @@ class Searcher:
         `fq` composes plain filter queries as FILTER clauses (rows=0 with
         filters, the numFound contract).  `query` may be a pre-parsed
         node (the request handler passes one so q.op survives)."""
-        node = self._compose_fq(self._parse(query) if isinstance(query, str) else query, fq)
-        if node is None:
-            return 0
-        node = self._rewrite(node)
-        if node is None:
-            return 0
-        idfs = self._weights_for(node)
-        return int(sum(self._scatter("count_matches", node, idfs)))
+        return self._collect(query, [_COUNT], fq)[0]
 
     def facet_query(
         self, query: str, facet_queries: dict[str, str], fq: str | list[str] | None = None
@@ -497,20 +704,19 @@ class Searcher:
         returns counts only.  Unparseable/empty sub-queries count 0 (the
         reference omits them; callers filter); `fq` narrows the base
         DocSet.  → {key: count}."""
-        node = self._compose_fq(self._parse(query) if isinstance(query, str) else query, fq)
-        if node is None:
-            return {k: 0 for k in facet_queries}
-        node = self._rewrite(node)
-        idfs = self._weights_for(node)
-        keys, subs = list(facet_queries), []
-        for k in keys:
-            sn = self._parse(facet_queries[k])
-            if sn is not None:
-                sn = self._rewrite(sn)
-            subs.append((sn, self._weights_for(sn) if sn is not None else {}))
-        parts = self._scatter("facet_query_counts", node, idfs, subs)
-        totals = np.sum(np.asarray(parts, dtype=np.int64), axis=0) if parts else np.zeros(len(keys), np.int64)
-        return {k: int(t) for k, t in zip(keys, totals)}
+        return self._collect(query, [self._facet_query_collector(facet_queries)], fq)[0]
+
+    def _facet_query_collector(self, facet_queries: dict[str, str]) -> _Collect:
+        """facet.query sub-queries parse, rewrite and weigh on the driver;
+        shards intersect each with the match set and return counts."""
+        keys = list(facet_queries)
+        subs = [self._prepare(facet_queries[key]) or (None, {}) for key in keys]
+
+        def merge(parts):
+            totals = np.sum(np.asarray(parts, dtype=np.int64), axis=0)
+            return {key: int(t) for key, t in zip(keys, totals)}
+
+        return _Collect(("facet_query_counts", subs), merge, {key: 0 for key in keys})
 
     # -- terms / facets over the index ------------------------------------
     def terms(
@@ -586,13 +792,6 @@ class Searcher:
 
         `query` may be a pre-parsed QueryNode (the dispatcher passes one
         so local params like q.op survive)."""
-        node = self._parse(query) if isinstance(query, str) else query
-        if node is None:
-            return []
-        node = self._rewrite(node)
-        if node is None:
-            return []
-        idfs = self._weights_for(node)
         spec = [
             (f if f.isidentifier() else self._resolve_global_sources(f), asc)
             for f, asc in self._parse_sort_spec(sort_field, ascending)
@@ -606,30 +805,29 @@ class Searcher:
             if len(vals) != len(spec):
                 raise ValueError("cursor arity != sort spec arity")
             aft = tuple(vals) + (int(doc),)
-        import pandas as pd
-
-        parts = [p for p in self._scatter("top_k_sorted", node, idfs, spec, k, aft) if p is not None]
-        if not parts:
-            return []
-        merged = pd.concat(parts, ignore_index=True).sort_values(
-            [f"s{i}" for i in range(len(spec))] + ["doc"],
-            ascending=[asc for _, asc in spec] + [True],
-            kind="mergesort",
-            na_position="last",
-        ).head(k)
 
         def _py(v):
             if v is None or (isinstance(v, float) and np.isnan(v)):
                 return None
             return float(v) if isinstance(v, (np.floating, float)) else str(v) if isinstance(v, (np.str_,)) else v
 
-        docs = merged["doc"].to_numpy()
-        if len(spec) == 1:
-            return [(int(d), _py(v)) for d, v in zip(docs, merged["s0"].tolist())]
-        cols = [merged[f"s{i}"].tolist() for i in range(len(spec))]
-        return [
-            (int(docs[j]), tuple(_py(c[j]) for c in cols)) for j in range(len(docs))
-        ]
+        def merge(parts):
+            parts = [p for p in parts if p is not None]
+            if not parts:
+                return []
+            merged = pd.concat(parts, ignore_index=True).sort_values(
+                [f"s{i}" for i in range(len(spec))] + ["doc"],
+                ascending=[asc for _, asc in spec] + [True],
+                kind="mergesort",
+                na_position="last",
+            ).head(k)
+            docs = merged["doc"].to_numpy()
+            if len(spec) == 1:
+                return [(int(d), _py(v)) for d, v in zip(docs, merged["s0"].tolist())]
+            cols = [merged[f"s{i}"].tolist() for i in range(len(spec))]
+            return [(int(docs[j]), tuple(_py(c[j]) for c in cols)) for j in range(len(docs))]
+
+        return self._collect(query, [_Collect(("top_k_sorted", spec, k, aft), merge, [])])[0]
 
     def terms_list(self, terms: list[str], ttf: bool = False) -> list[tuple[str, int]]:
         """terms.list (TermsComponent explicit-list mode): stats for the
@@ -662,24 +860,7 @@ class Searcher:
         `missing=True` appends the facet.missing bucket (value None) after
         the limit cut, like the reference; `fq` narrows the DocSet with
         plain filter queries (the q∩fq domain every component uses)."""
-        node = self._compose_fq(self._parse(query) if isinstance(query, str) else query, fq)
-        if node is None:
-            return []
-        node = self._rewrite(node)
-        if node is None:
-            return []
-        idfs = self._weights_for(node, "bm25")
-        agg: dict[str, int] = {}
-        n_missing = 0
-        for vals, cnts, nm in self._scatter("facet_counts", node, idfs, field):
-            n_missing += nm
-            for v, c in zip(vals.tolist(), cnts.tolist()):
-                agg[v] = agg.get(v, 0) + c
-        key = (lambda p: p[0]) if sort == "index" else (lambda p: (-p[1], p[0]))
-        out = sorted(agg.items(), key=key)[:limit]  # facet.sort=count|index
-        if missing:
-            out.append((None, n_missing))
-        return out
+        return self._collect(query, [_facet_field_collector(field, limit, missing, sort)], fq)[0]
 
     def facet_range(
         self, query: str, field: str, start: float, end: float, gap: float,
@@ -689,24 +870,10 @@ class Searcher:
         facet.range.other=all): fixed [start, end) buckets of width `gap`
         → {"counts": [(bucket_start, n), ...], "before": n, "after": n}.
         Each shard returns one bounded count vector; the driver sums.
-        `fq` narrows the DocSet with plain filter queries."""
-        node = self._compose_fq(self._parse(query) if isinstance(query, str) else query, fq)
-        if node is None:
-            return {"counts": [], "before": 0, "after": 0}
-        node = self._rewrite(node)
-        if node is None:
-            return {"counts": [], "before": 0, "after": 0}
-        idfs = self._weights_for(node, "bm25")
-        parts = self._scatter("range_facet_counts", node, idfs, field, start, end, gap)
-        total = np.sum(parts, axis=0)
-        n_buckets = total.size - 2
-        return {
-            "counts": [
-                (start + i * gap, int(total[1 + i])) for i in range(n_buckets)
-            ],
-            "before": int(total[0]),
-            "after": int(total[-1]),
-        }
+        `fq` narrows the DocSet with plain filter queries.  A non-finite
+        bound, gap <= 0 or end <= start raises QParserError before any
+        shard is asked."""
+        return self._collect(query, [_range_facet_collector(field, start, end, gap)], fq)[0]
 
     def stats_field(
         self, query: str, field: str, percentiles: list[float] | None = None,
@@ -720,42 +887,7 @@ class Searcher:
         mergeable per-shard t-digest sketches — approximate, exactly like
         the reference's AVL t-digest (solr/core/.../stats/
         StatsValuesFactory.java percentiles).  `fq` narrows the DocSet."""
-        import math
-
-        node = self._compose_fq(self._parse(query) if isinstance(query, str) else query, fq)
-        if node is None:
-            return {"count": 0}
-        node = self._rewrite(node)
-        if node is None:
-            return {"count": 0}
-        idfs = self._weights_for(node, "bm25")
-        parts = self._scatter("stats_partial", node, idfs, field, "bm25", bool(percentiles))
-        n = sum(p[0] for p in parts)
-        if n == 0:
-            return {"count": 0}
-        s1 = sum(p[1] for p in parts)
-        s2 = sum(p[2] for p in parts)
-        mn = min(p[3] for p in parts if p[3] is not None)
-        mx = max(p[4] for p in parts if p[4] is not None)
-        mean = s1 / n
-        var = (s2 - s1 * s1 / n) / (n - 1) if n > 1 else 0.0
-        out = {
-            "count": n,
-            "sum": s1,
-            "mean": mean,
-            "min": mn,
-            "max": mx,
-            "stddev": math.sqrt(max(var, 0.0)),
-        }
-        if percentiles:
-            from ..state.tdigest import TDigest
-
-            td = TDigest()
-            for p in parts:
-                if p[5] is not None:
-                    td = td.merge(TDigest(p[5][0], p[5][1]))
-            out["percentiles"] = {float(p): float(td.quantile(p / 100.0)) for p in percentiles}
-        return out
+        return self._collect(query, [_stats_collector(field, percentiles)], fq)[0]
 
     def search_grouped(
         self, query: str, field: str, k: int = 10, group_limit: int = 2, similarity: str = "bm25",
@@ -773,56 +905,7 @@ class Searcher:
         rank by their best hit under the score sort (each shard ships the
         group's best (score, doc) alongside its group-sorted members).
         `fq` narrows the DocSet with plain filter queries."""
-        node = self._compose_fq(self._parse(query) if isinstance(query, str) else query, fq)
-        if node is None:
-            return []
-        node = self._rewrite(node)
-        if node is None:
-            return []
-        idfs = self._weights_for(node, similarity)
-        if group_sort is not None:
-            spec = self._parse_sort_spec(group_sort, True)
-            if len(spec) != 1:
-                raise ValueError("group.sort takes a single numeric field")
-            sfield, sasc = spec[0]
-            parts = [
-                p for p in self._scatter(
-                    "top_groups_sorted", node, idfs, field, group_limit, sfield, sasc, similarity
-                ) if p is not None
-            ]
-            if not parts:
-                return []
-            g = pd.concat(parts, ignore_index=True)
-            best = (
-                g.sort_values(["gmax", "gdoc"], ascending=[False, True], kind="mergesort")
-                .drop_duplicates("val")
-                .head(k)
-            )
-            g = g.sort_values(["sv", "doc"], ascending=[sasc, True], kind="mergesort")
-            out = []
-            for val in best["val"]:
-                rows = g[g["val"] == val].head(group_limit)
-                out.append((str(val), [(int(d), float(s)) for d, s in zip(rows["doc"], rows["score"])]))
-            return out
-        parts = self._scatter("top_groups", node, idfs, field, group_limit, similarity)
-        frames = [
-            pd.DataFrame({"doc": d, "score": s, "val": v.astype(object)})
-            for d, s, v in parts
-            if d.size
-        ]
-        if not frames:
-            return []
-        g = pd.concat(frames).sort_values(
-            ["score", "doc"], ascending=[False, True], kind="mergesort"
-        )
-        g["rank_in_group"] = g.groupby("val").cumcount()
-        g = g[g["rank_in_group"] < group_limit]
-        heads = g.drop_duplicates("val").head(k)  # groups in best-hit order
-        out = []
-        for val in heads["val"]:
-            rows = g[g["val"] == val]
-            out.append((str(val), [(int(d), float(s)) for d, s in zip(rows["doc"], rows["score"])]))
-        return out
+        return self._collect(query, [_group_collector(field, k, group_limit, group_sort)], fq, similarity)[0]
 
     def facet_nested(
         self, query: str, field1: str, field2: str, limit1: int = 10, limit2: int = 10
@@ -835,28 +918,22 @@ class Searcher:
         bounded); parent counts are the sub-bucket sums, so parents count
         only docs carrying BOTH fields (uniqueBlock-style nesting — use
         facet_search for single-field totals)."""
-        node = self._parse(query)
-        if node is None:
-            return []
-        node = self._rewrite(node)
-        if node is None:
-            return []
-        idfs = self._weights_for(node)
-        parts = [
-            p for p in self._scatter("facet_pair_counts", node, idfs, field1, field2)
-            if p is not None
-        ]
-        if not parts:
-            return []
-        g = pd.concat(parts, ignore_index=True).groupby(["v0", "v1"], as_index=False)["n"].sum()
-        tot = g.groupby("v0", as_index=False)["n"].sum().sort_values(
-            ["n", "v0"], ascending=[False, True], kind="mergesort"
-        ).head(limit1)
-        out = []
-        for v1, n1 in zip(tot["v0"], tot["n"]):
-            sub = g[g["v0"] == v1].sort_values(["n", "v1"], ascending=[False, True], kind="mergesort").head(limit2)
-            out.append((str(v1), int(n1), [(str(v), int(c)) for v, c in zip(sub["v1"], sub["n"])]))
-        return out
+
+        def merge(parts):
+            parts = [p for p in parts if p is not None]
+            if not parts:
+                return []
+            g = pd.concat(parts, ignore_index=True).groupby(["v0", "v1"], as_index=False)["n"].sum()
+            tot = g.groupby("v0", as_index=False)["n"].sum().sort_values(
+                ["n", "v0"], ascending=[False, True], kind="mergesort"
+            ).head(limit1)
+            out = []
+            for v1, n1 in zip(tot["v0"], tot["n"]):
+                sub = g[g["v0"] == v1].sort_values(["n", "v1"], ascending=[False, True], kind="mergesort").head(limit2)
+                out.append((str(v1), int(n1), [(str(v), int(c)) for v, c in zip(sub["v1"], sub["n"])]))
+            return out
+
+        return self._collect(query, [_Collect(("facet_tuple_counts", [field1, field2]), merge, [])])[0]
 
     def facet_pivot_search(
         self, query: str, fields: list[str], limit: int = 5,
@@ -868,37 +945,7 @@ class Searcher:
         count partials (domain-product bounded); the driver derives every
         level's counts from the same tuple frame.  → Solr-shaped
         [{"field", "value", "count", "pivot": [...]}]."""
-        node = self._compose_fq(self._parse(query) if isinstance(query, str) else query, fq)
-        if node is None:
-            return []
-        node = self._rewrite(node)
-        if node is None:
-            return []
-        idfs = self._weights_for(node)
-        parts = [
-            p for p in self._scatter("facet_tuple_counts", node, idfs, list(fields))
-            if p is not None
-        ]
-        if not parts:
-            return []
-        keys = [f"v{i}" for i in range(len(fields))]
-        g = pd.concat(parts, ignore_index=True).groupby(keys, as_index=False)["n"].sum()
-
-        def nest(sub: pd.DataFrame, depth: int) -> list[dict]:
-            lvl = (
-                sub.groupby(keys[depth], as_index=False)["n"].sum()
-                .sort_values(["n", keys[depth]], ascending=[False, True], kind="mergesort")
-                .head(limit)
-            )
-            out = []
-            for v, c in zip(lvl[keys[depth]], lvl["n"]):
-                entry = {"field": fields[depth], "value": str(v), "count": int(c)}
-                if depth + 1 < len(fields):
-                    entry["pivot"] = nest(sub[sub[keys[depth]] == v], depth + 1)
-                out.append(entry)
-            return out
-
-        return nest(g, 0)
+        return self._collect(query, [_pivot_collector(fields, limit)], fq)[0]
 
     def facet_stats(
         self, query: str, field: str, stat_field: str, limit: int = 10
@@ -907,36 +954,26 @@ class Searcher:
         (json.facet {type:terms, field, facet:{sum,min,max,avg}} on the
         index path): buckets ranked (count desc, value asc), each carrying
         exact count/sum/min/max and the derived mean of `stat_field`."""
-        node = self._parse(query)
-        if node is None:
-            return []
-        node = self._rewrite(node)
-        if node is None:
-            return []
-        idfs = self._weights_for(node, "bm25")
-        agg: dict[str, list] = {}
-        for part in self._scatter("facet_stats_partial", node, idfs, field, stat_field):
-            for val, cnt, s, mn, mx in part:
-                cur = agg.get(val)
-                if cur is None:
-                    agg[val] = [cnt, s, mn, mx]
-                else:
-                    cur[0] += cnt
-                    cur[1] += s
-                    cur[2] = min(cur[2], mn)
-                    cur[3] = max(cur[3], mx)
-        order = sorted(agg.items(), key=lambda p: (-p[1][0], p[0]))[:limit]
-        return [
-            {
-                "val": v,
-                "count": c,
-                "sum": s,
-                "min": mn,
-                "max": mx,
-                "mean": s / c,
-            }
-            for v, (c, s, mn, mx) in order
-        ]
+
+        def merge(parts):
+            agg: dict[str, list] = {}
+            for part in parts:
+                for val, cnt, s, mn, mx in part:
+                    cur = agg.get(val)
+                    if cur is None:
+                        agg[val] = [cnt, s, mn, mx]
+                    else:
+                        cur[0] += cnt
+                        cur[1] += s
+                        cur[2] = min(cur[2], mn)
+                        cur[3] = max(cur[3], mx)
+            order = sorted(agg.items(), key=lambda p: (-p[1][0], p[0]))[:limit]
+            return [
+                {"val": v, "count": c, "sum": s, "min": mn, "max": mx, "mean": s / c}
+                for v, (c, s, mn, mx) in order
+            ]
+
+        return self._collect(query, [_Collect(("facet_stats_partial", field, stat_field), merge, [])])[0]
 
     # -- query elevation ---------------------------------------------------
     def search_elevated(
@@ -973,20 +1010,14 @@ class Searcher:
         blocks never span doc-range shards under conv-range partitioning),
         so only (conv, parent_score) tuples reach the driver, never child
         hits."""
-        node = self._parse(query)
-        if node is None:
-            return []
-        node = self._rewrite(node)
-        idfs = self._weights_for(node)
-        # tombstones are masked actor-side at posting decode — no dead set
-        # ships with the query
-        parts = self._scatter("match_parents", node, idfs, score_mode, "bm25")
-        pconvs = np.concatenate([p[0] for p in parts]) if parts else np.empty(0, object)
-        pscores = np.concatenate([p[1] for p in parts]) if parts else np.empty(0, np.float32)
-        if pconvs.size == 0:
-            return []
-        top = np.lexsort((pconvs, -pscores))[:k]
-        return [(str(pconvs[i]), float(pscores[i])) for i in top]
+
+        def merge(parts):
+            pconvs = np.concatenate([p[0] for p in parts])
+            pscores = np.concatenate([p[1] for p in parts])
+            top = np.lexsort((pconvs, -pscores))[:k]
+            return [(str(pconvs[i]), float(pscores[i])) for i in top]
+
+        return self._collect(query, [_Collect(("match_parents", score_mode), merge, [])])[0]
 
     def search_with_children(
         self, query: str, k: int = 10, child_limit: int = 3, score_mode: str = "max"
@@ -1014,18 +1045,7 @@ class Searcher:
         conv aggregation), return the CHILD docs of matching conversations,
         each scored with its parent's score; rank (score desc, docID asc).
         Shard-local join — only (doc, score) pairs reach the driver."""
-        node = self._parse(query)
-        if node is None:
-            return []
-        node = self._rewrite(node)
-        idfs = self._weights_for(node)
-        parts = self._scatter("match_children", node, idfs, score_mode, "bm25")
-        docs = np.concatenate([p[0] for p in parts]) if parts else np.empty(0, np.int64)
-        scores = np.concatenate([p[1] for p in parts]) if parts else np.empty(0, np.float32)
-        if docs.size == 0:
-            return []
-        top = np.lexsort((docs, -scores))[:k]
-        return [(int(docs[i]), float(scores[i])) for i in top]
+        return self._collect(query, [_top_k_collector(("match_children", score_mode), k)])[0]
 
     def search_parents_childfield(
         self, query: str, field: str, k: int = 10, order: str = "desc"
@@ -1037,19 +1057,15 @@ class Searcher:
         children.  Aggregation is shard-local (conv blocks never span
         shards); only (conv, value) pairs reach the driver.  Ties break
         conv_id ascending, like every parent path here."""
-        node = self._parse(query)
-        if node is None:
-            return []
-        node = self._rewrite(node)
-        idfs = self._weights_for(node)
+
+        def merge(parts):
+            convs = np.concatenate([p[0] for p in parts])
+            vals = np.concatenate([p[1] for p in parts])
+            top = np.lexsort((convs, vals if order == "asc" else -vals))[:k]
+            return [(str(convs[i]), float(vals[i])) for i in top]
+
         sel = "min" if order == "asc" else "max"
-        parts = self._scatter("match_parents_childfield", node, idfs, field, sel, "bm25")
-        convs = np.concatenate([p[0] for p in parts]) if parts else np.empty(0, object)
-        vals = np.concatenate([p[1] for p in parts]) if parts else np.empty(0, np.float64)
-        if convs.size == 0:
-            return []
-        top = np.lexsort((convs, vals if order == "asc" else -vals))[:k]
-        return [(str(convs[i]), float(vals[i])) for i in top]
+        return self._collect(query, [_Collect(("match_parents_childfield", field, sel), merge, [])])[0]
 
     def _conv_of(self, docs: np.ndarray) -> np.ndarray:
         """Vectorized docID → conv_id via the fetched docmap rows."""
@@ -1064,12 +1080,10 @@ class Searcher:
         """DiversifiedTopDocsCollector analog (lucene/misc/src/java/org/
         apache/lucene/search/DiversifiedTopDocsCollector.java): top-k with
         at most `max_per_parent` hits per conversation."""
-        node = self._parse(query)
-        if node is None:
+        prep = self._prepare(query)
+        if prep is None:
             return []
-        node = self._rewrite(node)
-        idfs = self._weights_for(node)
-        parts = self._scatter("match_all", node, idfs)
+        parts = self._scatter("match_all", *prep)
         docs = np.concatenate([p[0] for p in parts]) if parts else np.empty(0, np.int64)
         scores = np.concatenate([p[1] for p in parts]).astype(np.float32) if parts else np.empty(0, np.float32)
         if docs.size == 0:
@@ -1154,12 +1168,10 @@ class Searcher:
         Matching doc ids come straight from the shards' match_all (docID
         arrays only — never the scored top-k path, no driver-side sort of
         every hit)."""
-        node = self._parse(query)
-        if node is None:
+        prep = self._prepare(query)
+        if prep is None:
             return 0
-        node = self._rewrite(node)
-        idfs = self._weights_for(node)
-        parts = self._scatter("match_all", node, idfs)
+        parts = self._scatter("match_all", *prep)
         new = (
             np.unique(np.concatenate([p[0] for p in parts]))
             if parts
@@ -1235,20 +1247,24 @@ class Searcher:
         ResponseBuilder): one params dict in, one Solr-shaped response
         dict out — q / fq (str or list) / rows / start / sort / fl /
         facet.field (str or list, facet.missing) / facet.query (dict) /
-        stats.field (+stats.percentiles) / hl.  Each section delegates to
-        the corresponding component method over the SAME q∩fq DocSet
-        (Solr's ResponseBuilder contract — facets/stats/groups are
-        filtered); the envelope mirrors Solr's JSON layout so a reference
-        client's response-parsing code ports directly.
+        facet.range / facet.pivot / group.field / stats.field
+        (+stats.percentiles, a list or Solr's "25,50,90" string) / hl.
+        The envelope mirrors Solr's JSON layout so a reference client's
+        response-parsing code ports directly.
 
-        numFound is exact: counts-only scatters for default-parser
-        queries (q.op honored); exotic `{!parser}` main queries or
-        local-params fq fall back to materializing the matching ids once
-        (the reference holds a DocSet bitset per request too).  Section
-        params require a default-parser q and plain fq (QParserError
-        otherwise — Solr computes facets over the same DocSet, which the
-        exotic parsers here don't expose)."""
-        from .qparser import QParserError, _lucene_main_node, parse_local_params
+        numFound and every asked-for section are collectors of ONE
+        `collect` request over the same q∩fq DocSet (Solr's
+        ResponseBuilder contract — facets/stats/groups are filtered): each
+        shard evaluates the match set once.  The page stays on `query()` →
+        `top_k`, result-cached and pruned.  Exotic `{!parser}` main
+        queries or a local-params fq fall back to materializing the
+        matching ids once (the reference holds a DocSet bitset per request
+        too); a single `{!frange}` fq counts shard-side.  Section params
+        require a default-parser q and plain fq (QParserError otherwise —
+        Solr computes facets over the same DocSet, which the exotic
+        parsers here don't expose); bad range-facet bounds raise
+        QParserError before any shard is asked."""
+        from .qparser import _bool, _lucene_main_node, parse_local_params
 
         q = params["q"]
         rows = int(params.get("rows", 10))
@@ -1276,15 +1292,53 @@ class Searcher:
             # paging it as a field sort would mis-order the response AND
             # label a BM25 score as the sort value
             raise QParserError("sort= requires a default-parser q and plain fq")
-        # sections take the PRE-PARSED main node (q.op survives — every
-        # component funnels through _compose_fq, which accepts nodes)
+        # sections take the PRE-PARSED main node (q.op survives)
         qnode = _lucene_main_node(self, qp, qbody) if qname == "lucene" else None
+        # (response path, collector) per asked-for section, in Solr's order
+        sections: list[tuple[tuple, _Collect]] = []
+        limit = int(params.get("facet.limit", 10))
+        rf = params.get("facet.range")
+        if rf:  # built first: its bounds are checked before any scatter
+            rfc = _range_facet_collector(
+                rf,
+                float(params["facet.range.start"]),
+                float(params["facet.range.end"]),
+                float(params["facet.range.gap"]),
+            )
+        ff = params.get("facet.field")
+        fquery = params.get("facet.query")
+        missing = str(params.get("facet.missing", "false")).lower() == "true"
+        for f in [ff] if isinstance(ff, str) else (ff or []):
+            sections.append(
+                (("facet_counts", "facet_fields", f),
+                 _facet_field_collector(f, limit, missing, params.get("facet.sort", "count")))
+            )
+        if fquery:
+            sections.append((("facet_counts", "facet_queries"), self._facet_query_collector(dict(fquery))))
+        if rf:
+            sections.append((("facet_counts", "facet_ranges", rf), rfc))
+        fp = params.get("facet.pivot")
+        if fp:
+            flds = [f.strip() for f in fp.split(",")] if isinstance(fp, str) else list(fp)
+            sections.append((("facet_counts", "facet_pivot", ",".join(flds)), _pivot_collector(flds, limit)))
+        gf = params.get("group.field")
+        if gf:
+            sections.append(
+                (("grouped", gf),
+                 _group_collector(gf, rows, int(params.get("group.limit", 2)), params.get("group.sort")))
+            )
+        sf = params.get("stats.field")
+        if sf:
+            pct = params.get("stats.percentiles")
+            if isinstance(pct, str):  # Solr's comma list, like fl and facet.pivot
+                pct = [float(p) for p in pct.split(",") if p.strip()]
+            sections.append((("stats", "stats_fields", sf), _stats_collector(sf, pct)))
         num_found_exact = True
+        full = None
         if qname == "lucene" and plain_fq:
-            num_found = self.count(qnode, fq=fq)
-            full = None
+            num_found, *results = self._collect(qnode, [_COUNT] + [c for _, c in sections], fq)
         else:
-            full = None
+            results = []  # no sections here: refused above
             fname = fparams = fbody = None
             fq_list = [fq] if isinstance(fq, str) else list(fq or [])
             if qname == "lucene" and not plain_fq and len(fq_list) == 1:
@@ -1299,8 +1353,6 @@ class Searcher:
                 # qnode is the q.op-applied main node and _bool is the
                 # dispatcher's own flag parser, so count and page agree
                 # on both the query semantics and window closedness.
-                from .qparser import _bool
-
                 num_found = self.count_franged(
                     qnode,
                     fbody,
@@ -1338,63 +1390,18 @@ class Searcher:
             "start": start,
             "docs": docs,
         }
-        ff = params.get("facet.field")
-        fquery = params.get("facet.query")
         if ff or fquery:
-            fc: dict = {"facet_fields": {}, "facet_queries": {}}
-            missing = str(params.get("facet.missing", "false")).lower() == "true"
-            limit = int(params.get("facet.limit", 10))
-            fsort = params.get("facet.sort", "count")
-            for f in [ff] if isinstance(ff, str) else (ff or []):
-                fc["facet_fields"][f] = self.facet_search(
-                    qnode, f, limit=limit, missing=missing, fq=fq, sort=fsort
-                )
-            if fquery:
-                fc["facet_queries"] = self.facet_query(qnode, dict(fquery), fq=fq)
-            resp["facet_counts"] = fc
-        rf = params.get("facet.range")
-        if rf:
-            fc = resp.setdefault("facet_counts", {})
-            fc["facet_ranges"] = {
-                rf: self.facet_range(
-                    qnode,
-                    rf,
-                    float(params["facet.range.start"]),
-                    float(params["facet.range.end"]),
-                    float(params["facet.range.gap"]),
-                    fq=fq,
-                )
-            }
-        fp = params.get("facet.pivot")
-        if fp:
-            fc = resp.setdefault("facet_counts", {})
-            flds = [f.strip() for f in fp.split(",")] if isinstance(fp, str) else list(fp)
-            fc["facet_pivot"] = {
-                ",".join(flds): self.facet_pivot_search(
-                    qnode, flds, limit=int(params.get("facet.limit", 10)), fq=fq
-                )
-            }
-        gf = params.get("group.field")
-        if gf:
-            resp["grouped"] = {
-                gf: self.search_grouped(
-                    qnode,
-                    gf,
-                    k=rows,
-                    group_limit=int(params.get("group.limit", 2)),
-                    group_sort=params.get("group.sort"),
-                    fq=fq,
-                )
-            }
-        sf = params.get("stats.field")
-        if sf:
-            pct = params.get("stats.percentiles")
-            resp["stats"] = {"stats_fields": {sf: self.stats_field(qnode, sf, percentiles=pct, fq=fq)}}
+            resp["facet_counts"] = {"facet_fields": {}, "facet_queries": {}}
+        for (path, _), result in zip(sections, results):
+            slot = resp
+            for key in path[:-1]:
+                slot = slot.setdefault(key, {})
+            slot[path[-1]] = result
         if str(params.get("hl", "false")).lower() == "true":
             if docs and not all("score" in d for d in docs):
                 # fl=/sort= pages carry no score — fetch the real scores
-                # for the page ids (one bounded scores_of scatter) instead
-                # of labeling the hits 0.0
+                # for the page ids (one bounded scores_of collector)
+                # instead of labeling the hits 0.0
                 ids = [int(d["doc_id"]) for d in docs]
                 smap = self._scores_for_ids(qnode, ids)
                 page_hits = [(i, smap.get(i, 0.0)) for i in ids]
@@ -1465,19 +1472,10 @@ class Searcher:
         if not first:
             return []
         docs = np.array([d for d, _ in first], dtype=np.int64)
-        combined = np.array([s for _, s in first], dtype=np.float64)
-        node = self._parse(rerank_query)
-        if node is not None:
-            node = self._rewrite(node)
-        if node is not None:
-            idfs = self._weights_for(node, similarity)
-            order = np.argsort(docs)
-            for od, os_ in self._scatter("scores_of", node, idfs, docs[order].tolist(), similarity):
-                if len(od):
-                    at = order[np.searchsorted(docs[order], od)]
-                    # per-doc scores are float32 in the reference engine —
-                    # cast BEFORE combining so both passes share rounding
-                    combined[at] += weight * os_.astype(np.float32).astype(np.float64)
+        # second-pass scores are float32 like the first pass's, so both
+        # share rounding before they combine
+        smap = self._scores_for_ids(rerank_query, docs.tolist(), similarity)
+        combined = np.array([s + weight * smap.get(d, 0.0) for d, s in first], dtype=np.float64)
         s32 = combined.astype(np.float32)
         top = np.lexsort((docs, -s32))[:k]
         return [(int(docs[i]), float(s32[i])) for i in top]
@@ -1514,22 +1512,8 @@ class Searcher:
         numeric doc-values columns (turn_idx, dl — FunctionScoreQuery
         .boostByValue).  The multiplier applies BEFORE shard top-k
         selection, so ranking reflects the boost, not a rerank."""
-        node = self._parse(query)
-        if node is None:
-            return []
-        node = self._rewrite(node)
-        if node is None:
-            return []
-        idfs = self._weights_for(node, similarity)
-        parts = self._scatter(
-            "top_k_boosted", node, k, idfs, self._resolve_global_sources(boost_expr), similarity
-        )
-        docs = np.concatenate([p[0] for p in parts]) if parts else np.empty(0, np.int64)
-        scores = np.concatenate([p[1] for p in parts]) if parts else np.empty(0, np.float32)
-        if docs.size == 0:
-            return []
-        order = np.lexsort((docs, -scores))[:k]
-        return [(int(docs[i]), float(scores[i])) for i in order]
+        spec = ("top_k_boosted", k, self._resolve_global_sources(boost_expr))
+        return self._collect(query, [_top_k_collector(spec, k)], similarity=similarity)[0]
 
     def _resolve_global_sources(self, expr_src: str) -> str:
         """Substitute GLOBAL-stat value sources with constants before the
@@ -1565,18 +1549,8 @@ class Searcher:
         live doc matches, scored by a function over numeric doc-values
         columns.  Rides the boosted path with a MatchAllDocs base (score
         1.0 × expr = expr), so ranking IS the function value."""
-        from .query import QueryNode
-
-        node = QueryNode("match_all")
-        parts = self._scatter(
-            "top_k_boosted", node, k, {}, self._resolve_global_sources(expr), "bm25"
-        )
-        docs = np.concatenate([p[0] for p in parts]) if parts else np.empty(0, np.int64)
-        scores = np.concatenate([p[1] for p in parts]) if parts else np.empty(0, np.float32)
-        if docs.size == 0:
-            return []
-        order = np.lexsort((docs, -scores))[:k]
-        return [(int(docs[i]), float(scores[i])) for i in order]
+        spec = ("top_k_boosted", k, self._resolve_global_sources(expr))
+        return self._collect(QueryNode("match_all"), [_top_k_collector(spec, k)])[0]
 
     def search_franged(
         self,
@@ -1595,22 +1569,9 @@ class Searcher:
         no driver over-fetch, no rerank.  `query` may be a pre-parsed
         QueryNode (the dispatch/handle_select paths pass the q.op-applied
         main node so count and page agree)."""
-        node = self._parse(query) if isinstance(query, str) else query
-        if node is None:
-            return []
-        node = self._rewrite(node)
-        if node is None:
-            return []
-        idfs = self._weights_for(node, similarity)
-        parts = self._scatter(
-            "top_k_franged", node, k, idfs, self._resolve_global_sources(frange_expr), lo, hi, incl, incu, similarity
-        )
-        docs = np.concatenate([p[0] for p in parts]) if parts else np.empty(0, np.int64)
-        scores = np.concatenate([p[1] for p in parts]) if parts else np.empty(0, np.float32)
-        if docs.size == 0:
-            return []
-        order = np.lexsort((docs, -scores))[:k]
-        return [(int(docs[i]), float(scores[i])) for i in order]
+        spec = ("franged_hits", self._resolve_global_sources(frange_expr), lo, hi, incl, incu, k)
+        page = _Collect(spec, lambda parts: self._merge_top_k([p[1:] for p in parts], k), [])
+        return self._collect(query, [page], similarity=similarity)[0]
 
     def count_franged(
         self,
@@ -1623,41 +1584,26 @@ class Searcher:
         similarity: str = "bm25",
     ) -> int:
         """Exact numFound for `q` ∩ `{!frange}` — a counts-only scatter
-        (the search_franged mask, but only per-shard hit counts cross).
-        `query` may be a pre-parsed QueryNode, like search_franged."""
-        node = self._parse(query) if isinstance(query, str) else query
-        if node is None:
-            return 0
-        node = self._rewrite(node)
-        if node is None:
-            return 0
-        idfs = self._weights_for(node, similarity)
-        return int(
-            sum(
-                self._scatter(
-                    "count_franged", node, idfs, self._resolve_global_sources(frange_expr),
-                    lo, hi, incl, incu, similarity,
-                )
-            )
-        )
+        (the search_franged mask with a k=0 page, so only per-shard hit
+        counts cross).  `query` may be a pre-parsed QueryNode, like
+        search_franged."""
+        spec = ("franged_hits", self._resolve_global_sources(frange_expr), lo, hi, incl, incu, 0)
+        count = _Collect(spec, lambda parts: sum(p[0] for p in parts), 0)
+        return self._collect(query, [count], similarity=similarity)[0]
 
-    def _scores_for_ids(self, node, ids: list[int], similarity: str = "bm25") -> dict[int, float]:
+    def _scores_for_ids(self, query, ids: list[int], similarity: str = "bm25") -> dict[int, float]:
         """Bounded score-by-id lookup (the rerank second-pass shape): one
-        scores_of scatter over just these docIDs, float32 parity.  Feeds
-        hit_score for fl=/sort= highlight pages, whose docs carry no
-        score."""
-        if node is None or not ids:
+        scores_of collector over just these docIDs, float32 parity.
+        Feeds rerank_query and hit_score for fl=/sort= highlight pages,
+        whose docs carry no score.  `query` is a string or a node."""
+        if not ids:
             return {}
-        n = self._rewrite(node)
-        if n is None:
-            return {}
-        idfs = self._weights_for(n, similarity)
-        docs = np.unique(np.asarray(ids, dtype=np.int64))
-        out: dict[int, float] = {}
-        for od, os_ in self._scatter("scores_of", n, idfs, docs.tolist(), similarity):
-            for d, s in zip(od, os_.astype(np.float32)):
-                out[int(d)] = float(s)
-        return out
+        docs = np.unique(np.asarray(ids, dtype=np.int64)).tolist()
+
+        def merge(parts):
+            return {int(d): float(s) for od, os_ in parts for d, s in zip(od, os_.astype(np.float32))}
+
+        return self._collect(query, [_Collect(("scores_of", docs), merge, {})], similarity=similarity)[0]
 
     def search_covering(
         self, queries: list[str], min_match_field: str, k: int = 10, similarity: str = "bm25"
@@ -1787,19 +1733,13 @@ class Searcher:
         (searchAfter — see `search_after` for the string-query wrapper)."""
         # multi-term (prefix/wildcard/fuzzy) expansion against the sorted
         # global term dictionary (Query.rewrite step, SURVEY.md §3.2)
-        node = self._rewrite(node)
-        if node is None:
+        prep = self._prepare(node, similarity=similarity)
+        if prep is None:
             return []
-        idfs = self._weights_for(node, similarity)
         # tombstones masked at decode actor-side: no over-fetch needed —
         # shard top-k is already live-only
-        parts = self._scatter("top_k", node, k, idfs, prune and after is None, similarity, after)
-        docs = np.concatenate([p[0] for p in parts]) if parts else np.empty(0, np.int64)
-        scores = np.concatenate([p[1] for p in parts]) if parts else np.empty(0, np.float32)
-        if docs.size == 0:
-            return []
-        order = np.lexsort((docs, -scores))[:k]
-        return [(int(docs[i]), float(scores[i])) for i in order]
+        parts = self._scatter("top_k", prep[0], k, prep[1], prune and after is None, similarity, after)
+        return self._merge_top_k(parts, k)
 
     def search_collapse(
         self,
@@ -1833,41 +1773,35 @@ class Searcher:
         if null_policy != "ignore" and (min_field or max_field):
             raise ValueError("nullPolicy=expand|collapse composes with the score selector only")
         sel_op = "min" if min_field else ("max" if max_field else None)
-        sel_field = min_field or max_field
-        node = self._parse(query) if isinstance(query, str) else query
-        if node is None:
-            return []
-        node = self._rewrite(node)
-        if node is None:
-            return []
-        idfs = self._weights_for(node, similarity)
-        parts = self._scatter(
-            "top_k_collapse", node, field, k, idfs, similarity, sel_op, sel_field, null_policy
-        )
-        frames = [
-            pd.DataFrame({"doc": d, "score": s, "val": v.astype(object), "sel": sv})
-            for d, s, v, sv in parts
-            if d.size
-        ]
-        if not frames:
-            return []
-        g = pd.concat(frames)
-        # dedup key: null-group rows are singletons under expand, one
-        # group under collapse ("\x00" can't collide — dv values are text)
-        g["key"] = [
-            (f"\x00{d}" if null_policy == "expand" else "\x00") if v is None else v
-            for v, d in zip(g["val"], g["doc"])
-        ]
-        if sel_op is None:
-            g = g.sort_values(["score", "doc"], ascending=[False, True], kind="mergesort")
-        else:
-            g = g.sort_values(["sel", "doc"], ascending=[sel_op == "min", True], kind="mergesort")
-        g = g.drop_duplicates("key")
-        g = g.sort_values(["score", "doc"], ascending=[False, True], kind="mergesort").head(k)
-        return [
-            (int(d), float(s), None if v is None else str(v))
-            for d, s, v in zip(g["doc"], g["score"], g["val"])
-        ]
+
+        def merge(parts):
+            frames = [
+                pd.DataFrame({"doc": d, "score": s, "val": v.astype(object), "sel": sv})
+                for d, s, v, sv in parts
+                if d.size
+            ]
+            if not frames:
+                return []
+            g = pd.concat(frames)
+            # dedup key: null-group rows are singletons under expand, one
+            # group under collapse ("\x00" can't collide — dv values are text)
+            g["key"] = [
+                (f"\x00{d}" if null_policy == "expand" else "\x00") if v is None else v
+                for v, d in zip(g["val"], g["doc"])
+            ]
+            if sel_op is None:
+                g = g.sort_values(["score", "doc"], ascending=[False, True], kind="mergesort")
+            else:
+                g = g.sort_values(["sel", "doc"], ascending=[sel_op == "min", True], kind="mergesort")
+            g = g.drop_duplicates("key")
+            g = g.sort_values(["score", "doc"], ascending=[False, True], kind="mergesort").head(k)
+            return [
+                (int(d), float(s), None if v is None else str(v))
+                for d, s, v in zip(g["doc"], g["score"], g["val"])
+            ]
+
+        spec = ("top_k_collapse", field, k, sel_op, min_field or max_field, null_policy)
+        return self._collect(query, [_Collect(spec, merge, [])], similarity=similarity)[0]
 
     def search_collapse_expand(
         self,
@@ -1887,28 +1821,25 @@ class Searcher:
         heads = self.search_collapse(query, field, k, similarity)
         if not heads:
             return [], {}
-        node = self._rewrite(self._parse(query))
-        idfs = self._weights_for(node, similarity)
         group_vals = [v for _, _, v in heads]
         exclude = [d for d, _, _ in heads]
-        parts = [
-            p
-            for p in self._scatter(
-                "expand_members", node, idfs, similarity, field, group_vals, exclude, expand_rows
-            )
-            if p is not None
-        ]
-        expanded: dict[str, list] = {v: [] for v in group_vals}
-        if parts:
-            g = (
-                pd.concat(parts, ignore_index=True)
-                .sort_values(["score", "doc"], ascending=[False, True], kind="mergesort")
-                .groupby("val", sort=False)
-                .head(expand_rows)
-            )
-            for doc, score, val in zip(g["doc"], g["score"], g["val"]):
-                expanded[str(val)].append((int(doc), float(score)))
-        return heads, expanded
+
+        def merge(parts):
+            expanded: dict[str, list] = {v: [] for v in group_vals}
+            parts = [p for p in parts if p is not None]
+            if parts:
+                g = (
+                    pd.concat(parts, ignore_index=True)
+                    .sort_values(["score", "doc"], ascending=[False, True], kind="mergesort")
+                    .groupby("val", sort=False)
+                    .head(expand_rows)
+                )
+                for doc, score, val in zip(g["doc"], g["score"], g["val"]):
+                    expanded[str(val)].append((int(doc), float(score)))
+            return expanded
+
+        spec = ("expand_members", field, group_vals, exclude, expand_rows)
+        return heads, self._collect(query, [_Collect(spec, merge, {})], similarity=similarity)[0]
 
     def search_after(
         self,
@@ -1936,20 +1867,11 @@ class Searcher:
         doDebug over IndexSearcher.explain): {'total': float32-rounded
         score, 'terms': {term: contribution}} or None if doc doesn't
         match."""
-        node = self._parse(query)
-        if node is None:
+        prep = self._prepare(query, similarity=similarity)
+        if prep is None:
             return None
-        node = self._rewrite(node)
-        idfs = self._weights_for(node, similarity)
-        if self.use_ray:
-            import ray
-
-            parts = ray.get(
-                [a.explain.remote(node, doc_id, idfs, similarity) for a in self.actors]
-            )
-        else:
-            parts = [a.explain(node, doc_id, idfs, similarity) for a in self.actors]
-        for p in parts:
+        node, idfs = prep
+        for p in self._scatter("explain", node, doc_id, idfs, similarity):
             if p is not None:
                 p["total"] = float(np.float32(p["total"]))
                 return p
@@ -1988,12 +1910,7 @@ class Searcher:
         buffers of `batch_rows`, safe-emit bound = min over unexhausted
         parts of their last buffered key — so driver memory is
         O(parts × batch_rows), never O(result).  Returns the row count."""
-        node = self._parse(query)
-        if node is None:
-            node_parts: list = []
-        else:
-            node = self._rewrite(node)
-            node_parts = [node] if node is not None else []
+        prep = self._prepare(query)
         import shutil
         import tempfile
 
@@ -2002,19 +1919,10 @@ class Searcher:
         total = 0
         try:
             paths = []
-            if node_parts:
-                idfs = self._weights_for(node)
+            if prep is not None:
                 paths = [
                     p
-                    for p in self._scatter(
-                        "export_shard_sorted",
-                        node,
-                        idfs,
-                        sort_field,
-                        ascending,
-                        list(fl or []),
-                        tmp_dir,
-                    )
+                    for p in self._scatter("export_shard_sorted", *prep, sort_field, ascending, list(fl or []), tmp_dir)
                     if p is not None
                 ]
             readers = [pq.ParquetFile(p).iter_batches(batch_size=batch_rows) for p in paths]

@@ -74,6 +74,64 @@ def test_handle_select_range_and_grouping(searcher):  # noqa: F811
     assert r["grouped"]["role"] == searcher.search_grouped(
         "tool output", "role", k=3, group_limit=2, group_sort="turn_idx asc"
     )
+    # bucket arithmetic needs finite bounds, gap > 0 and end > start: bad
+    # params are refused on the driver before any shard is asked
+    import pytest
+
+    from lucene_solr_ray.search.qparser import QParserError
+
+    calls = []
+    scatter = searcher._scatter
+    searcher._scatter = lambda method, *a: calls.append(method) or scatter(method, *a)
+    try:
+        for start, end, gap in [(0, 12, 0), (0, 12, -4), (12, 0, 4), (0, 12, "nan"), (0, "inf", 4)]:
+            with pytest.raises(QParserError):
+                searcher.handle_select(
+                    {"q": "tool output", "rows": 3, "facet.range": "turn_idx", "facet.range.start": start,
+                     "facet.range.end": end, "facet.range.gap": gap, "facet.field": "role"}
+                )
+            with pytest.raises(QParserError):
+                searcher.facet_range("tool output", "turn_idx", float(start), float(end), float(gap))
+    finally:
+        del searcher._scatter
+    assert calls == []
+
+
+def test_handle_select_one_collect_request(searcher):  # noqa: F811
+    """numFound and every section ride ONE `collect` scatter over the
+    q∩fq match set; the page is the one `top_k` scatter next to it."""
+    calls = []
+    scatter = searcher._scatter
+    searcher._scatter = lambda method, *a: calls.append(method) or scatter(method, *a)
+    params = {
+        "q": "output",
+        "rows": 4,
+        "fq": "role:tool",
+        "facet.field": ["role", "tool"],
+        "facet.query": {"errors": "error"},
+        "facet.range": "turn_idx",
+        "facet.range.start": 0,
+        "facet.range.end": 12,
+        "facet.range.gap": 4,
+        "stats.field": "turn_idx",
+        "group.field": "tool",
+    }
+    try:
+        r = searcher.handle_select(params)
+    finally:
+        del searcher._scatter
+    assert sorted(calls) == ["collect", "top_k"]
+    # and each section still equals its own component call
+    fc = r["facet_counts"]
+    assert r["response"]["numFound"] == searcher.count("output", fq="role:tool") > 0
+    assert fc["facet_fields"]["tool"] == searcher.facet_search("output", "tool", fq="role:tool")
+    assert fc["facet_queries"] == searcher.facet_query("output", {"errors": "error"}, fq="role:tool")
+    assert fc["facet_ranges"]["turn_idx"] == searcher.facet_range("output", "turn_idx", 0, 12, 4, fq="role:tool")
+    assert r["grouped"]["tool"] == searcher.search_grouped("output", "tool", k=4, fq="role:tool")
+    # stats.percentiles as Solr's comma string = the list form
+    rp = searcher.handle_select({"q": "output", "rows": 0, "stats.field": "turn_idx", "stats.percentiles": "25,50,90"})
+    want = searcher.stats_field("output", "turn_idx", percentiles=[25, 50, 90])
+    assert rp["stats"]["stats_fields"]["turn_idx"] == want and set(want["percentiles"]) == {25.0, 50.0, 90.0}
 
 
 def test_handle_select_pivot(searcher):  # noqa: F811

@@ -39,6 +39,11 @@ def test_shards_tolerant_partial_results(ray_session):
         # every scatter op inherits: count over the live subset only
         assert 0 < s.count("error") < full_count
         assert s.last_partial is True
+        # numFound and facets come from the same live subset
+        r = s.handle_select({"q": "error", "rows": 0, "facet.field": "role", "facet.missing": "true"})
+        assert s.last_partial is True
+        n = r["response"]["numFound"]
+        assert 0 < n < full_count and sum(c for _, c in r["facet_counts"]["facet_fields"]["role"]) == n
         # healthy scatter on the live shard resets the flag only per call
         s.tolerant = False
         with pytest.raises(ray.exceptions.RayActorError):
