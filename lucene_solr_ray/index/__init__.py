@@ -16,7 +16,10 @@ def stats_path(index_dir) -> str:
 
     Stats files are append-only generations (`global_stats_gNNN.parquet`);
     the manifest's `stats["stats_file"]` names the one the current commit
-    reads — resolve through it, never by filename convention."""
+    reads — resolve through it, never by filename convention.  Query
+    serving reads the same rows from the generation's memory-mapped Arrow
+    sidecar (`global_stats_gNNN.arrow`, `index.stats_sidecar`); the
+    parquet is what offline readers and snapshots use."""
     from pathlib import Path
 
     m = Manifest.load(index_dir)

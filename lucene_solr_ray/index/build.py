@@ -53,6 +53,7 @@ from ..analysis import analyze_batch, tokenize
 from . import codec
 from .manifest import Manifest
 from .smallfloat import int_to_byte4_np
+from .stats_sidecar import sidecar_path, write_stats_sidecar
 
 SALT_SEP = "\x01"
 N_BUCKETS = 32  # reduce-side hash-shuffle width per shard
@@ -670,6 +671,10 @@ def build_index(
             ],
         }
     if manifest.committed:
+        # an index committed before stats sidecars existed gets its sidecar
+        # here, so `Searcher` can open it read-only
+        st = manifest.data["stats"]
+        write_stats_sidecar(index_dir / st.get("stats_file", "global_stats.parquet"))
         return manifest
 
     hot_terms = sample_hot_terms([s.path for s in specs], hot_df_frac=hot_df_frac)
@@ -823,9 +828,9 @@ STATS_GROUPBY_THRESHOLD = 5_000_000  # (term, shard) rows above which the
 # driver-side Arrow group_by
 
 STATS_ROW_GROUP_SIZE = 16_384  # terms per row group in global_stats.parquet:
-# the file is term-sorted, so parquet min/max statistics on `term` let
-# LazyBM25Stats prune every row group a query's terms don't touch — the
-# vocabulary never needs to be materialized on the driver
+# the file is term-sorted, so parquet min/max statistics on `term` let a
+# filtered parquet reader prune the row groups its terms don't touch (query
+# serving reads the memory-mapped sidecar instead, one batch per row group)
 
 
 def _finalize(
@@ -904,7 +909,9 @@ def _finalize(
         default=0,
     )
     stats_name = f"global_stats_g{gen:03d}.parquet"
+    sidecar_path(index_dir / stats_name).unlink(missing_ok=True)  # never a stale one
     os.replace(tmp, index_dir / stats_name)
+    write_stats_sidecar(index_dir / stats_name)
 
     segs = list(manifest.data["segments"].values())
     n_docs = sum(s["n_docs"] for s in segs)

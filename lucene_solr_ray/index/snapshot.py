@@ -25,6 +25,7 @@ import shutil
 from pathlib import Path
 
 from .manifest import MANIFEST_NAME, Manifest
+from .stats_sidecar import sidecar_path, write_stats_sidecar
 
 SNAP_DIR = "snapshots"
 
@@ -80,7 +81,10 @@ def restore_snapshot(index_dir: str | Path, name: str) -> Manifest:
     tmp = index_dir / (MANIFEST_NAME + ".restore.tmp")
     shutil.copy2(src / MANIFEST_NAME, tmp)
     tmp.rename(index_dir / MANIFEST_NAME)
-    return Manifest.load(index_dir)
+    m = Manifest.load(index_dir)
+    # a generation pinned before stats sidecars existed gets its sidecar
+    write_stats_sidecar(index_dir / m.data["stats"].get("stats_file", "global_stats.parquet"))
+    return m
 
 
 def delete_snapshot(index_dir: str | Path, name: str) -> None:
@@ -111,10 +115,10 @@ def referenced_roots(index_dir: str | Path) -> set[str]:
 
 
 def purge(index_dir: str | Path) -> list[str]:
-    """Delete shard-root generations and global-stats generations that no
-    live or pinned commit references (IndexFileDeleter semantics: a file
-    survives exactly as long as some commit lists it).  Returns the
-    removed paths."""
+    """Delete shard-root generations and global-stats generations (the
+    parquet and its `.arrow` sidecar) that no live or pinned commit
+    references (IndexFileDeleter semantics: a file survives exactly as
+    long as some commit lists it).  Returns the removed paths."""
     index_dir = Path(index_dir)
     manifests = _commit_manifests(index_dir)
     keep_roots = {m["config"].get("shards_dir", "shards") for m in manifests}
@@ -127,6 +131,9 @@ def purge(index_dir: str | Path) -> list[str]:
                 removed.append(str(p))
         elif p.name.startswith("global_stats") and p.suffix == ".parquet":
             if p.name not in keep_stats:
-                p.unlink()
-                removed.append(str(p))
+                # a generation's sidecar lives and dies with its parquet
+                for f in (p, sidecar_path(p)):
+                    if f.exists():
+                        f.unlink()
+                        removed.append(str(f))
     return removed

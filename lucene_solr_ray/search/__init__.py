@@ -1,5 +1,4 @@
 from .query import QueryNode, parse_query
-from .bm25 import BM25Stats
 from .searcher import Searcher
 
-__all__ = ["QueryNode", "parse_query", "BM25Stats", "Searcher"]
+__all__ = ["QueryNode", "parse_query", "Searcher"]

@@ -682,18 +682,21 @@ class IndexShard:
             sub, scores, hit = verify(np.arange(cand.size))
             return sub[hit], scores[hit]
         top_idx = np.sort(np.argpartition(-bounds, k - 1)[:k])
-        _, seed_scores, _ = verify(top_idx)
-        if seed_scores.size >= k:
-            s32 = seed_scores.astype(np.float32)
-            kth32 = np.partition(s32, s32.size - k)[s32.size - k]
-            theta = float(np.nextafter(kth32, np.float32(-np.inf)))
-        else:
-            theta = 0.0
-        keep_idx = np.flatnonzero(bounds >= theta)
+        _, seed_scores, seed_hit = verify(top_idx)
+        s32 = seed_scores.astype(np.float32)
+        kth32 = np.partition(s32, s32.size - k)[s32.size - k]
+        theta = float(np.nextafter(kth32, np.float32(-np.inf)))
+        # θ ≤ every seed's exact score ≤ its bound, so the seeds survive
+        # the cut: reuse their scores, verify only the other survivors
+        keep = bounds >= theta
+        keep[top_idx] = False
         self._prune_candidates += int(cand.size)
-        self._prune_survivors += int(keep_idx.size) + int(top_idx.size)
-        sub, scores, hit = verify(keep_idx)
-        return sub[hit], scores[hit]
+        self._prune_survivors += int(top_idx.size) + int(keep.sum())
+        scores = np.zeros(cand.size, dtype=np.float64)
+        hit = np.zeros(cand.size, dtype=bool)
+        scores[top_idx], hit[top_idx] = seed_scores, seed_hit
+        _, scores[keep], hit[keep] = verify(np.flatnonzero(keep))
+        return cand[hit], scores[hit]
 
     def _eval(self, node: QueryNode, idfs: dict[str, float], sim: str = "bm25"):
         """→ (sorted matching docs, float64 scores).  node.boost multiplies
@@ -1335,24 +1338,26 @@ class IndexShard:
         if docs.size <= k:
             return self._exact_scores(docs, live_terms, posts, idfs)
         # floor θ from the k best-bounded docs
-        top_idx = np.argpartition(-bounds, k - 1)[:k]
-        seed_docs = np.sort(docs[top_idx])
-        _, seed_scores = self._exact_scores(seed_docs, live_terms, posts, idfs)
-        if seed_scores.size >= k:
-            # final ranking ties are decided at float32: θ must not prune a
-            # doc whose exact score rounds to the same float32 as the kth
-            # seed (it could win the docID tie-break) — use the float32
-            # predecessor of the kth float32 seed score as the floor
-            s32 = seed_scores.astype(np.float32)
-            kth32 = np.partition(s32, s32.size - k)[s32.size - k]
-            theta = float(np.nextafter(kth32, np.float32(-np.inf)))
-        else:
-            theta = 0.0
+        top_idx = np.sort(np.argpartition(-bounds, k - 1)[:k])
+        _, seed_scores = self._exact_scores(docs[top_idx], live_terms, posts, idfs)
+        # final ranking ties are decided at float32: θ must not prune a
+        # doc whose exact score rounds to the same float32 as the kth
+        # seed (it could win the docID tie-break) — use the float32
+        # predecessor of the kth float32 seed score as the floor
+        s32 = seed_scores.astype(np.float32)
+        kth32 = np.partition(s32, s32.size - k)[s32.size - k]
+        theta = float(np.nextafter(kth32, np.float32(-np.inf)))
+        # θ ≤ every seed's exact score ≤ its bound, so the seeds survive
+        # the cut: reuse their scores, exact-score only the other survivors
         keep = bounds >= theta
-        survivors = docs[keep]
+        keep[top_idx] = False
         self._prune_candidates += int(docs.size)
-        self._prune_survivors += int(survivors.size) + int(seed_docs.size)
-        return self._exact_scores(survivors, live_terms, posts, idfs)
+        self._prune_survivors += int(top_idx.size) + int(keep.sum())
+        scores = np.empty(docs.size, dtype=np.float64)
+        scores[top_idx] = seed_scores
+        _, scores[keep] = self._exact_scores(docs[keep], live_terms, posts, idfs)
+        keep[top_idx] = True
+        return docs[keep], scores[keep]
 
     def _exact_scores(self, docs: np.ndarray, terms: list[str], posts, idfs: dict[str, float]):
         scores = np.zeros(docs.size, dtype=np.float64)

@@ -25,8 +25,9 @@ split (SURVEY.md §2.7) as the one shape of every query-scoped feature:
   docID range covers them.
 
 Actors are created lazily from the committed manifest.  Global stats are
-LAZY (`LazyBM25Stats`): df/cf resolve per query term via row-group-pruned
-reads of the term-sorted `global_stats.parquet`; prefix/wildcard/fuzzy
+LAZY (`LazyBM25Stats`): df/cf resolve per query term by binary search in
+the memory-mapped, term-sorted Arrow sidecar of the committed
+`global_stats_gNNN.parquet`; prefix/wildcard/fuzzy
 expansion, /terms and spellcheck run shard-side and merge — the vocabulary
 never materializes on the driver (the per-shard term-dictionary shape of
 `IndexSearcher.termStatistics`, SURVEY.md §3.2).  `Searcher` owns no Ray
@@ -45,6 +46,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 
+from ..index.stats_sidecar import sidecar_path, write_stats_sidecar
 from .actor import IndexShard
 from .bm25 import LazyBM25Stats, classic_idf, dfr_weight, make_norm_cache
 from .query import MAX_EXPANSIONS, QueryNode, multi_term_nodes, node_key, parse_query, rewrite_with
@@ -227,15 +229,22 @@ class Searcher:
             raise RuntimeError(f"index at {index_dir} is not committed")
         self.manifest = manifest
         st = manifest["stats"]
-        # Lazy stats: df/cf resolved per query term by row-group-pruned
-        # reads — the vocabulary is NEVER materialized on the driver
-        # each commit references its own stats generation (append-only
-        # files; snapshots pin a consistent vocabulary)
-        self.stats = LazyBM25Stats(
-            str(self.index_dir / st.get("stats_file", "global_stats.parquet")),
-            st["N"],
-            st["avgdl"],
-        )
+        # Lazy stats: df/cf resolved per query term by binary search in
+        # the memory-mapped stats sidecar — the vocabulary is NEVER
+        # materialized on the driver.  Each commit references its own
+        # stats generation (append-only files; snapshots pin a consistent
+        # vocabulary).  `build_index` and `restore_snapshot` write a missing
+        # sidecar; one still missing (an index copied in from before
+        # sidecars existed) is written here, which needs a writable dir
+        stats_file = self.index_dir / st.get("stats_file", "global_stats.parquet")
+        try:
+            write_stats_sidecar(stats_file)
+        except OSError as e:
+            raise RuntimeError(
+                f"stats sidecar {sidecar_path(stats_file)} is missing and could not be "
+                f"written ({e}); open the index once with write access to {self.index_dir}"
+            ) from e
+        self.stats = LazyBM25Stats(str(stats_file), st["N"], st["avgdl"])
         # per-field norm caches for extra analyzed fields (per-field avgdl)
         self.norm_caches = {"": self.stats.norm_cache}
         self.avgdls = {"": float(st["avgdl"])}
@@ -509,14 +518,14 @@ class Searcher:
         """WordBreakSolrSpellChecker break-words direction (solr/core/src/
         java/org/apache/solr/spelling/WordBreakSolrSpellChecker.java): an
         out-of-dictionary word is split into two dictionary words.  Ranked
-        by the weaker half's df desc, then left half asc.  Every df lookup
-        is one batched pruned global-stats read (`LazyBM25Stats.resolve`)
-        — the vocabulary never materializes on the driver."""
+        by the weaker half's df desc, then left half asc.  The df lookups
+        are one batched `LazyBM25Stats.resolve` against the memory-mapped
+        stats sidecar — the vocabulary never materializes on the driver."""
         w = word.lower()
         if self.stats.df(w) > 0:
             return []
         parts = [(w[:i], w[i:]) for i in range(1, len(w))]
-        getattr(self.stats, "resolve", lambda ts: None)([p for ab in parts for p in ab])
+        self.stats.resolve([p for ab in parts for p in ab])
         out = [
             (a, b, min(da, db))
             for a, b in parts
@@ -531,7 +540,7 @@ class Searcher:
         right, df of the combined word)."""
         toks = [t.lower() for t in terms]
         cands = [(toks[i], toks[i + 1], toks[i] + toks[i + 1]) for i in range(len(toks) - 1)]
-        getattr(self.stats, "resolve", lambda ts: None)([c for _, _, c in cands])
+        self.stats.resolve([c for _, _, c in cands])
         return [(a, b, df) for a, b, c in cands if (df := self.stats.df(c)) > 0]
 
     def join_search(
@@ -831,8 +840,8 @@ class Searcher:
 
     def terms_list(self, terms: list[str], ttf: bool = False) -> list[tuple[str, int]]:
         """terms.list (TermsComponent explicit-list mode): stats for the
-        GIVEN terms only, straight from the row-group-pruned global stats
-        reads (LazyBM25Stats) — no shard scatter, no dictionary scan.
+        GIVEN terms only, straight from the lazy global stats
+        (LazyBM25Stats) — no shard scatter, no dictionary scan.
         `ttf=True` returns totalTermFreq (terms.ttf) instead of docFreq;
         absent terms report 0 (the reference omits them; callers filter)."""
         stat = self.stats.cf if ttf else self.stats.df
@@ -2152,8 +2161,8 @@ class Searcher:
         per-document term vector {term: {tf, positions, df}}.  The reference
         re-analyzes stored fields when term vectors aren't stored in the
         segment — same here: one pid-pruned stored-text read + the analyzer
-        chain; dfs resolve through the lazy global stats (row-group-pruned
-        reads, vocabulary stays off the driver)."""
+        chain; dfs resolve through the lazy global stats (memory-mapped
+        sidecar lookups, vocabulary stays off the driver)."""
         from ..analysis.analyzer import tokenize
 
         tokenize = self._analyzer or tokenize

@@ -217,6 +217,32 @@ def test_prune_fires_for_conjunctions(ray_session, index):
         s2.close()
 
 
+def test_prune_scores_each_candidate_once(index):
+    """Both block-max paths (phrase, boolean) score a candidate at most
+    once: the θ seeds' exact scores are reused, so `scored` never exceeds
+    `candidates` — per query, not just in total."""
+    s2 = Searcher(INDEX_DIR, use_ray=False)
+    try:
+        shard = s2.actors[0]
+        ran = {"phrase": 0, "bool": 0}
+        for q, k in [('"tool output"', 1), ('"tool output"', 3), ('"assistant ok"', 2),
+                     ("error ok", 1), ("error ok w00002", 3), ("+assistant error ok", 2),
+                     ("assistant", 1), ("error OR tool", 5)]:
+            before = shard.prune_stats()
+            assert s2.search(q, k) == s2.search(q, k, prune=False), q
+            after = shard.prune_stats()
+            cand = after["candidates"] - before["candidates"]
+            scored = after["scored"] - before["scored"]
+            assert scored <= cand, (q, k, scored, cand)
+            if cand:
+                ran["phrase" if q.startswith('"') else "bool"] += 1
+        assert ran["phrase"] and ran["bool"]  # both pruned paths were exercised
+        st = shard.prune_stats()
+        assert 0 <= st["scored"] <= st["candidates"] and st["pruned_frac"] >= 0
+    finally:
+        s2.close()
+
+
 FILTER_AND_MULTI_QUERIES = [
     "error #role:assistant",          # scored term + keyword FILTER
     "#role:tool",                     # pure filter (score 0, docID order)
@@ -733,6 +759,14 @@ def test_distributed_stats_finalize_identical(ray_session, index):
     assert got.column("term").to_pylist() == ref.column("term").to_pylist()
     assert got.column("df").to_pylist() == ref.column("df").to_pylist()
     assert got.column("cf").to_pylist() == ref.column("cf").to_pylist()
+    # the query-serving sidecar of the new generation carries the same rows
+    import pyarrow as pa
+
+    from lucene_solr_ray.index.stats_sidecar import sidecar_path
+
+    side = pa.ipc.open_file(pa.memory_map(str(sidecar_path(stats_path(tmp))))).read_all()
+    for col in ("term", "df", "cf"):
+        assert side.column(col).to_pylist() == ref.column(col).to_pylist()
     shutil.rmtree(tmp, ignore_errors=True)
 
 
