@@ -53,7 +53,7 @@ from ..analysis import analyze_batch, tokenize
 from . import codec
 from .manifest import Manifest
 from .smallfloat import int_to_byte4_np
-from .stats_sidecar import sidecar_path, write_stats_sidecar
+from .stats_sidecar import SCHEMA as STATS_SCHEMA, sidecar_path, write_stats_sidecar
 
 SALT_SEP = "\x01"
 N_BUCKETS = 32  # reduce-side hash-shuffle width per shard
@@ -823,83 +823,87 @@ def build_index(
     return manifest
 
 
-STATS_GROUPBY_THRESHOLD = 5_000_000  # (term, shard) rows above which the
-# stats reduce goes through a distributed ray.data groupby instead of the
-# driver-side Arrow group_by
-
 STATS_ROW_GROUP_SIZE = 16_384  # terms per row group in global_stats.parquet:
 # the file is term-sorted, so parquet min/max statistics on `term` let a
 # filtered parquet reader prune the row groups its terms don't touch (query
 # serving reads the memory-mapped sidecar instead, one batch per row group)
 
+SHARD_STATS_NAME = "term_stats.arrow"  # a shard's sorted stats run; not
+# *.parquet, so the shard dir's postings globs never see it
 
-def _finalize(
-    index_dir: Path, manifest: Manifest, stats_groupby_threshold: int = STATS_GROUPBY_THRESHOLD
-) -> None:
+
+def _sum_by_term(t: pa.Table) -> pa.Table:
+    agg = t.group_by("term").aggregate([("df", "sum"), ("cf", "sum")])
+    return agg.rename_columns(STATS_SCHEMA.names).sort_by("term")
+
+
+def _write_shard_stats(shard_dir: str) -> None:
+    """A shard's sorted run: its (term, df, cf) with each hot term's salted
+    rows summed, as zstd Arrow IPC batches.  Written once per shard dir: a
+    committed one never changes (rebuilds and compaction make new dirs)."""
+    d = Path(shard_dir)
+    parts = [pq.read_table(f, columns=STATS_SCHEMA.names) for f in sorted(d.glob("postings-*.parquet"))]
+    run = _sum_by_term(pa.concat_tables([STATS_SCHEMA.empty_table(), *parts]))
+    tmp = d / f".{SHARD_STATS_NAME}.tmp"
+    try:
+        opts = pa.ipc.IpcWriteOptions(compression="zstd")
+        with pa.OSFile(str(tmp), "wb") as sink, pa.ipc.new_file(sink, STATS_SCHEMA, options=opts) as w:
+            w.write_table(run, max_chunksize=STATS_ROW_GROUP_SIZE)
+        os.replace(tmp, d / SHARD_STATS_NAME)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _merge_shard_stats(runs: list[Path], tmp: Path) -> int:
+    """k-way merge of the shards' sorted runs into the stats parquet at
+    `tmp` (SegmentMerger's term-dictionary merge, SURVEY.md §3.1), holding
+    one batch per run.  Each step cuts at the heads' smallest last term:
+    runs are sorted with unique terms, so the heads' prefixes up to the cut
+    hold every remaining row up to it.  → the number of terms."""
+    readers = [pa.ipc.open_file(str(r)) for r in runs]
+    its = [filter(len, map(r.get_batch, range(r.num_record_batches))) for r in readers]
+    heads = [next(it, None) for it in its]
+    out, n_terms = STATS_SCHEMA.empty_table(), 0
+    with pq.ParquetWriter(tmp, STATS_SCHEMA) as writer:
+        while any(h is not None for h in heads):
+            cut = min(h.column("term")[-1].as_py() for h in heads if h is not None)
+            prefixes = []
+            for i, h in enumerate(heads):
+                if h is not None:
+                    n = pc.sum(pc.less_equal(h.column("term"), cut)).as_py()
+                    prefixes.append(h.slice(0, n))
+                    heads[i] = h.slice(n) if n < len(h) else next(its[i], None)
+            step = _sum_by_term(pa.Table.from_batches(prefixes))
+            n_terms += step.num_rows
+            out = pa.concat_tables([out, step])
+            full = out.num_rows - out.num_rows % STATS_ROW_GROUP_SIZE
+            if full:
+                writer.write_table(out.slice(0, full).combine_chunks(), STATS_ROW_GROUP_SIZE)
+            out = out.slice(full)
+        if out.num_rows:
+            writer.write_table(out.combine_chunks())
+    return n_terms
+
+
+def _finalize(index_dir: Path, manifest: Manifest) -> None:
     """Global stats: df/cf per term across shards + collection totals.
 
     The reference resolves these once per query via termStatistics /
     collectionStatistics (lucene/core/.../search/IndexSearcher.java); we
     precompute them at build time so distributed scoring is globally
-    consistent (the ExactStatsCache requirement, SURVEY.md §3.2).
-
-    Below `stats_groupby_threshold` total (term, shard) rows, per-shard
-    (term, df, cf) columns are read in parallel Ray tasks and reduced with
-    one vectorized Arrow group_by on the driver (orders faster at
-    transcript vocabulary scale).  Above it, the reduce is a distributed
-    `ray.data` groupby + sort whose output files are re-assembled into the
-    stats parquet ONE ROW GROUP AT A TIME — driver memory stays bounded by
-    a single output block, not the vocabulary."""
+    consistent (the ExactStatsCache requirement, SURVEY.md §3.2).  Each
+    shard dir without a sorted run gets one in a Ray task (an append writes
+    only its new shards' runs); the driver merges the runs batch by batch,
+    so its memory is bounded by batches, not the vocabulary."""
     import ray
 
     shards_root = index_dir / manifest.data["config"].get("shards_dir", "shards")
-    posting_files = sorted(str(p) for p in shards_root.glob("shard=*/*.parquet"))
-    total_rows = sum(pq.read_metadata(p).num_rows for p in posting_files)
+    shard_dirs = sorted(shards_root.glob("shard=*"))
+    write_run = ray.remote(_write_shard_stats)
+    ray.get([write_run.remote(str(d)) for d in shard_dirs if not (d / SHARD_STATS_NAME).exists()])
     tmp = index_dir / ".global_stats.parquet.tmp"
-    if total_rows > stats_groupby_threshold:
-        import shutil as _sh
-
-        import ray.data as rd
-        from ray.data.aggregate import Sum
-
-        out_dir = index_dir / ".global_stats.dir.tmp"
-        _sh.rmtree(out_dir, ignore_errors=True)
-        (
-            rd.read_parquet(posting_files, columns=["term", "df", "cf"])
-            .groupby("term")
-            .aggregate(Sum("df", alias_name="df"), Sum("cf", alias_name="cf"))
-            .sort("term")
-            .write_parquet(str(out_dir))
-        )
-        files = sorted(out_dir.glob("*.parquet"))
-        writer = None
-        n_terms = 0
-        for f in files:
-            t = pq.read_table(f, columns=["term", "df", "cf"])
-            if writer is None:
-                writer = pq.ParquetWriter(tmp, t.schema)
-            if t.num_rows:
-                writer.write_table(t, row_group_size=STATS_ROW_GROUP_SIZE)
-                n_terms += t.num_rows
-        if writer is not None:
-            writer.close()
-        _sh.rmtree(out_dir, ignore_errors=True)
-        stats_rows = n_terms
-    else:
-        @ray.remote
-        def read_stats(path: str) -> pa.Table:
-            return pq.read_table(path, columns=["term", "df", "cf"])
-
-        tables = ray.get([read_stats.remote(p) for p in posting_files])
-        stats_pa = (
-            pa.concat_tables(tables)
-            .group_by("term")
-            .aggregate([("df", "sum"), ("cf", "sum")])
-            .rename_columns(["term", "df", "cf"])
-            .sort_by("term")
-        )
-        pq.write_table(stats_pa, tmp, row_group_size=STATS_ROW_GROUP_SIZE)
-        stats_rows = stats_pa.num_rows
+    stats_rows = _merge_shard_stats([d / SHARD_STATS_NAME for d in shard_dirs], tmp)
     # versioned stats file (append-only, like segment files): each commit
     # references its own generation via stats["stats_file"], so snapshots
     # (index/snapshot.py) pin a consistent vocabulary — an incremental

@@ -738,36 +738,104 @@ def test_duel_intervals_algebra(searcher, oracle):
         assert got == exp, f"algebra#{i}\n got {got[:5]}\n exp {exp[:5]}"
 
 
-def test_distributed_stats_finalize_identical(ray_session, index):
-    """Forcing threshold 0 routes _finalize through the distributed
-    ray.data groupby path; the resulting global_stats.parquet must be
-    row-identical to the driver-side reduce."""
-    import shutil
-
-    import pyarrow.parquet as pq
+def _committed_stats(d) -> tuple:
+    from pathlib import Path
 
     from lucene_solr_ray.index import stats_path
-    from lucene_solr_ray.index.build import Manifest, _finalize
-
-    ref = pq.read_table(stats_path(INDEX_DIR))
-    tmp = "/tmp/lsr_statsdist_idx"
-    shutil.rmtree(tmp, ignore_errors=True)
-    shutil.copytree(INDEX_DIR, tmp)
-    m = Manifest.load(tmp)
-    _finalize(__import__("pathlib").Path(tmp), m, stats_groupby_threshold=0)
-    got = pq.read_table(stats_path(tmp))
-    assert got.column("term").to_pylist() == ref.column("term").to_pylist()
-    assert got.column("df").to_pylist() == ref.column("df").to_pylist()
-    assert got.column("cf").to_pylist() == ref.column("cf").to_pylist()
-    # the query-serving sidecar of the new generation carries the same rows
-    import pyarrow as pa
-
     from lucene_solr_ray.index.stats_sidecar import sidecar_path
 
-    side = pa.ipc.open_file(pa.memory_map(str(sidecar_path(stats_path(tmp))))).read_all()
-    for col in ("term", "df", "cf"):
-        assert side.column(col).to_pylist() == ref.column(col).to_pylist()
+    p = Path(stats_path(d))
+    return p.read_bytes(), sidecar_path(p).read_bytes()
+
+
+def test_finalize_rewrites_missing_shard_runs_identical(ray_session, index):
+    """An index whose shards have no sorted stats runs (built before they
+    existed, or a compacted super-shard) gets them on its next _finalize;
+    the new generation's stats parquet and sidecar are byte-identical to
+    the committed ones, and their rows equal an independent group_by over
+    every shard's postings."""
+    import shutil
+    from pathlib import Path
+
+    from lucene_solr_ray.index import stats_path
+    from lucene_solr_ray.index.build import SHARD_STATS_NAME, Manifest, _finalize
+
+    tmp = Path("/tmp/lsr_statsrun_idx")
     shutil.rmtree(tmp, ignore_errors=True)
+    shutil.copytree(INDEX_DIR, tmp)
+    runs = sorted(tmp.glob(f"shards/shard=*/{SHARD_STATS_NAME}"))
+    assert len(runs) == len(index.data["shards"])
+    for r in runs:
+        r.unlink()
+    m = Manifest.load(tmp)
+    _finalize(tmp, m)
+    assert m.data["stats"]["stats_file"] != index.data["stats"]["stats_file"]
+    assert _committed_stats(tmp) == _committed_stats(INDEX_DIR)
+    assert all(r.exists() for r in runs)
+    files = sorted(glob.glob(f"{INDEX_DIR}/shards/shard=*/postings-*.parquet"))
+    want = (
+        pa.concat_tables(pq.read_table(f, columns=["term", "df", "cf"]) for f in files)
+        .group_by("term")
+        .aggregate([("df", "sum"), ("cf", "sum")])
+        .sort_by("term")
+    )
+    got = pq.read_table(stats_path(tmp))
+    assert got.column("term").equals(want.column("term"))
+    assert got.column("df").equals(want.column("df_sum"))
+    assert got.column("cf").equals(want.column("cf_sum"))
+    shutil.rmtree(tmp, ignore_errors=True)
+
+
+def test_kill_in_finalize_and_rerun(corpus, index, monkeypatch):
+    """A crash inside _finalize after the stats file is in place (the
+    manifest commit raises once): a resume=True rerun commits, with stats
+    byte-identical to an uninterrupted build."""
+    from lucene_solr_ray.index.manifest import Manifest
+
+    paths, _ = corpus
+    idx = "/tmp/lsr_test_index_finalize_crash"
+    commit = Manifest.commit
+    calls = []
+
+    def crash_once(self, stats):
+        calls.append(stats["stats_file"])
+        if len(calls) == 1:
+            raise RuntimeError("injected failure in commit")
+        commit(self, stats)
+
+    monkeypatch.setattr(Manifest, "commit", crash_once)
+    with pytest.raises(RuntimeError, match="injected failure in commit"):
+        build_index(paths, idx, files_per_shard=FILES_PER_SHARD, resume=False)
+    assert json.loads(open(f"{idx}/manifest.json").read())["status"] == "building"
+    m = build_index(paths, idx, files_per_shard=FILES_PER_SHARD, resume=True)
+    assert m.committed and len(calls) == 2
+    assert m.data["stats"]["stats_file"] == calls[1] != calls[0]
+    assert _committed_stats(idx) == _committed_stats(INDEX_DIR)
+
+
+def test_shard_run_writer_failure_leaves_nothing(index, monkeypatch):
+    """A run writer that raises leaves neither a run nor its tmp behind."""
+    import os
+    import shutil
+    from pathlib import Path
+
+    import lucene_solr_ray.index.build as build_mod
+
+    d = Path("/tmp/lsr_statsrun_fail_shard")
+    shutil.rmtree(d, ignore_errors=True)
+    shutil.copytree(sorted(Path(INDEX_DIR).glob("shards/shard=*"))[0], d)
+    (d / build_mod.SHARD_STATS_NAME).unlink()
+    before = sorted(os.listdir(d))
+
+    def boom(*a):
+        raise OSError("injected failure in run rename")
+
+    monkeypatch.setattr(build_mod.os, "replace", boom)
+    with pytest.raises(OSError, match="injected"):
+        build_mod._write_shard_stats(str(d))
+    monkeypatch.undo()
+    assert sorted(os.listdir(d)) == before
+    shutil.rmtree(d, ignore_errors=True)
 
 
 def test_duel_dfr_similarity(searcher, oracle):

@@ -8,7 +8,7 @@ import pyarrow.parquet as pq
 import pytest
 
 from lucene_solr_ray.fixtures import gen_conv_range
-from lucene_solr_ray.index import build_index, compact_index
+from lucene_solr_ray.index import build_index, compact_index, stats_path
 from lucene_solr_ray.search import Searcher
 
 IDX = "/tmp/lsr_cmp_index"
@@ -100,6 +100,9 @@ def test_append_after_compaction(appended_index):
     build_index(paths, full_idx, files_per_shard=1, resume=False)
     got, want = _results(IDX), _results(full_idx)
     assert got == want
+    # the super-shards got their sorted stats runs at this finalize; the
+    # merged global stats equal the full rebuild's
+    assert pq.read_table(stats_path(IDX)).equals(pq.read_table(stats_path(full_idx)))
 
 
 def test_daemon_triggers_compaction(ray_session):

@@ -3,6 +3,7 @@
 
 import glob
 import json
+import os
 import shutil
 
 import pyarrow as pa
@@ -10,7 +11,7 @@ import pyarrow.parquet as pq
 import pytest
 
 from lucene_solr_ray.fixtures import gen_conv_range
-from lucene_solr_ray.index.build import build_index
+from lucene_solr_ray.index.build import SHARD_STATS_NAME, build_index
 
 IDX = "/tmp/lsr_incr_index"
 IDX_FULL = "/tmp/lsr_incr_index_full"
@@ -29,8 +30,6 @@ def corpus_dirs(ray_session):
     shutil.rmtree(SRC, ignore_errors=True)
     shutil.rmtree(IDX, ignore_errors=True)
     shutil.rmtree(IDX_FULL, ignore_errors=True)
-    import os
-
     os.makedirs(SRC)
     first = [_write(k, k * 50, 50) for k in range(4)]
     return first
@@ -42,6 +41,8 @@ def test_incremental_append(ray_session, corpus_dirs):
     assert m1.committed
     walls1 = {sid: s["wall_s"] for sid, s in m1.data["shards"].items()}
     assert set(walls1) == {"0", "1"}
+    run = f"{IDX}/shards/shard={{:05d}}/{SHARD_STATS_NAME}".format
+    runs1 = {sid: os.stat(run(sid)) for sid in (0, 1)}
 
     # append two more files (later conv ranges → later paths)
     more = [_write(k, k * 50, 50) for k in (4, 5)]
@@ -52,6 +53,11 @@ def test_incremental_append(ray_session, corpus_dirs):
     assert m2.data["shards"]["0"]["wall_s"] == walls1["0"]
     assert m2.data["shards"]["1"]["wall_s"] == walls1["1"]
     assert set(m2.data["shards"]) == {"0", "1", "2"}
+    # the kept shards' sorted stats runs are reused, the new shard has one
+    for sid, st in runs1.items():
+        now = os.stat(run(sid))
+        assert (now.st_ino, now.st_mtime_ns) == (st.st_ino, st.st_mtime_ns)
+    assert os.path.exists(run(2))
 
     # equivalent to a from-scratch build over all 6 files
     m3 = build_index(all_paths, IDX_FULL, files_per_shard=2, resume=False)
@@ -127,8 +133,6 @@ def test_non_append_change_triggers_full_rebuild(ray_session, corpus_dirs):
 
 def test_daemon_loop(ray_session, corpus_dirs):
     """DaemonStream analog: rounds ingest only new files; idle rounds no-op."""
-    import os
-
     from lucene_solr_ray.index.daemon import current_commit, run_incremental_daemon
 
     idx = "/tmp/lsr_daemon_index"

@@ -10,6 +10,7 @@ value-identical to the old eager global-dictionary implementations.
 import math
 
 import numpy as np
+import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
@@ -23,13 +24,14 @@ from lucene_solr_ray.search.query import QueryNode, expand_multi_term, parse_que
 
 CORPUS_DIR = "/tmp/lsr_sharded_corpus"
 INDEX_DIR = "/tmp/lsr_sharded_index"
+TINY_RG = 64  # stats row-group size of the fixture index
 
 
 @pytest.fixture(scope="module")
 def tiny_rg_index(ray_session):
     paths = write_transcripts(CORPUS_DIR, 150, 6)
     old = build_mod.STATS_ROW_GROUP_SIZE
-    build_mod.STATS_ROW_GROUP_SIZE = 64  # force many row groups
+    build_mod.STATS_ROW_GROUP_SIZE = TINY_RG  # force many row groups
     try:
         build_index(paths, INDEX_DIR, files_per_shard=2, resume=False)
     finally:
@@ -77,7 +79,7 @@ def eager(tiny_rg_index):
 def test_row_groups_are_small(tiny_rg_index):
     md = pq.read_metadata(stats_path(tiny_rg_index))
     assert md.num_row_groups >= 4, "tiny row-group size must yield many groups"
-    assert md.row_group(0).num_rows <= 64
+    assert md.row_group(0).num_rows <= TINY_RG
 
 
 def test_lazy_stats_match_eager(tiny_rg_index, eager):
@@ -96,20 +98,24 @@ def test_lazy_stats_match_eager(tiny_rg_index, eager):
 
 
 def test_lazy_read_prunes_row_groups(tiny_rg_index):
-    """The pruned read must touch fewer row groups than the file holds
-    (term-sorted file + min/max stats → filters prune)."""
-    f = pq.ParquetFile(stats_path(tiny_rg_index))
-    n_groups = f.metadata.num_row_groups
-    first_term = f.read_row_group(0, columns=["term"]).column("term")[0].as_py()
+    """The layout that lets a filtered read prune on `term` min/max: row
+    groups hold ascending, disjoint term ranges, and every one but the
+    last holds exactly the configured row-group size."""
+    md = pq.read_metadata(stats_path(tiny_rg_index))
+    n_groups = md.num_row_groups
+    assert n_groups >= 4
+    stats = [md.row_group(i).column(0).statistics for i in range(n_groups)]
+    ranges = [(st.min, st.max) for st in stats]
+    assert all(lo <= hi < nxt for (lo, hi), (nxt, _) in zip(ranges, ranges[1:]))
+    assert all(md.row_group(i).num_rows == TINY_RG for i in range(n_groups - 1))
+    assert 0 < md.row_group(n_groups - 1).num_rows <= TINY_RG
+    first_term = ranges[0][0]
     t = pq.read_table(
         stats_path(tiny_rg_index),
         columns=["term", "df", "cf"],
         filters=[("term", "in", [first_term])],
     )
     assert t.num_rows == 1
-    # a one-term filter cannot legitimately read the whole vocabulary
-    total = f.metadata.num_rows
-    assert n_groups >= 4
 
 
 def test_distributed_expansion_matches_global(tiny_rg_index, eager):
@@ -193,3 +199,38 @@ def test_sharded_parity_with_ray_actors(tiny_rg_index, eager, ray_session):
             s2.close()
     finally:
         s.close()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_merge_shard_stats_matches_group_by(tmp_path, monkeypatch, seed):
+    """The k-way merge of multi-batch shard runs (overlapping and disjoint
+    term ranges, salted duplicate rows, an empty shard, non-ASCII terms)
+    equals one group_by over every shard's rows, in full row groups."""
+    rng = np.random.default_rng(seed)
+    words = rng.choice(["a", "é", "z", "ß", "日"], 300)
+    vocab = np.array(sorted(f"{w}{i}" for i, w in enumerate(words)))
+    monkeypatch.setattr(build_mod, "STATS_ROW_GROUP_SIZE", 7)  # run batches
+    tables, runs = [], []
+    for s in range(5):
+        d = tmp_path / f"shard={s:05d}"
+        d.mkdir()
+        lo, hi = sorted(rng.integers(0, len(vocab), 2))
+        for b in range(3 if s else 0):  # shard 0 has no postings
+            terms = rng.choice(vocab[lo : hi + 1], int(rng.integers(0, 40)))
+            t = pa.table({"term": terms.tolist(), "df": rng.integers(1, 9, len(terms)),
+                          "cf": rng.integers(1, 99, len(terms))})
+            pq.write_table(t, d / f"postings-{b:05d}.parquet")
+            tables.append(t)
+        build_mod._write_shard_stats(str(d))
+        runs.append(d / build_mod.SHARD_STATS_NAME)
+    monkeypatch.setattr(build_mod, "STATS_ROW_GROUP_SIZE", 5)  # output row groups
+    out = tmp_path / "stats.parquet"
+    n = build_mod._merge_shard_stats(runs, out)
+    want = pa.concat_tables(tables).group_by("term").aggregate([("df", "sum"), ("cf", "sum")]).sort_by("term")
+    got = pq.read_table(out)
+    assert n == got.num_rows == want.num_rows
+    assert got.column("term").equals(want.column("term"))
+    assert got.column("df").equals(want.column("df_sum"))
+    assert got.column("cf").equals(want.column("cf_sum"))
+    md = pq.read_metadata(out)
+    assert all(md.row_group(i).num_rows == 5 for i in range(md.num_row_groups - 1))
