@@ -3,12 +3,14 @@
 The Ray analog of a SolrCloud shard replica + Lucene IndexSearcher leaf
 (SURVEY.md §2.4 "Query-serving searcher"): a plain class (wrapped with
 `ray.remote` by the Searcher) that loads its shard's encoded postings into
-memory ONCE in `__init__`.  Queries arrive as `top_k(node, k, idfs, ...)`
-(the ranked page: result-cached, WAND-pruned) or as `collect(node, idfs,
-sim, specs)`: the match set evaluates ONCE and every asked-for collector
-(`COLLECT` — counts, facets, stats, groups, field sorts, collapse,
-function scores, block joins) reduces it to one bounded partial.  All
-per-query work is vectorized numpy over decoded posting arrays:
+memory ONCE in `__init__`.  Queries arrive as `collect(node, idfs, sim,
+specs)`: the match set evaluates ONCE and every asked-for collector
+(`COLLECT` — the ranked page, counts, facets, stats, groups, field sorts,
+collapse, function scores, joins) reduces it to one bounded partial, and
+the shard's one result cache keys the whole request.  A lone `top_scores`
+page is Lucene's `ScoreMode.TOP_SCORES`: `top_k` may skip non-competitive
+docs (WAND/block-max).  All per-query work is vectorized numpy over
+decoded posting arrays:
 
 - TermQuery    → decode (docs, freqs, norms), score via bm25.score_postings
   (lucene/core/.../search/TermQuery.java + TermScorer.java)
@@ -108,7 +110,7 @@ class IndexShard:
 
         self._cache = LRUCache(max_items=50_000)
         # queryResultCache (solr/core/.../search/SolrIndexSearcher.java ::
-        # getDocListC): repeated (query, k, sim) calls short-circuit
+        # getDocListC): a repeated `collect` request short-circuits
         self._result_cache = LRUCache(max_items=1024)
         self._prune_candidates = 0
         self._prune_survivors = 0
@@ -843,57 +845,31 @@ class IndexShard:
         Solr's SearchComponents over one DocSet): evaluate `node` ONCE,
         then run every `(name, *args)` spec's collector (`COLLECT`) over
         the same (docs, scores).  → one bounded partial per spec, in spec
-        order; the driver pairs each collector with one merge."""
-        docs, scores = self._eval(node, idfs, sim)
-        return [COLLECT[name](self, docs, scores, *args) for name, *args in specs]
+        order; the driver pairs each collector with one merge.
+
+        A lone `top_scores` spec is `ScoreMode.TOP_SCORES`: no other
+        collector needs the whole match set, so `top_k` may prune.  The
+        shard's one result cache (Solr's queryResultCache) keys the whole
+        request: the weights are part of the key (a stats-generation flip
+        must not serve stale partials), and specs hold plain Python values,
+        so their `repr` is exact."""
+        key = (repr(node), sim, tuple(sorted(idfs.items())), repr(specs))
+        hit = self._result_cache.get(key)
+        if hit is not None:
+            return hit
+        if len(specs) == 1 and specs[0][0] == "top_scores":
+            _, k, after, prune = specs[0]
+            out = [self.top_k(node, k, idfs, prune, sim, after)]
+        else:
+            docs, scores = self._eval(node, idfs, sim)
+            out = [COLLECT[name](self, docs, scores, *args) for name, *args in specs]
+        self._result_cache.put(key, out)
+        return out
 
     def match_all(self, node: QueryNode, idfs: dict[str, float], sim: str = "bm25"):
         """ALL matching (docs, float64 scores) — feeds diversified top-k
         and delete-by-query, where every hit matters."""
         return self._eval(node, idfs, sim)
-
-    def join_values(self, node: QueryNode, idfs: dict[str, float], field: str, sim: str = "bm25") -> list:
-        """JoinQParserPlugin from-side (solr/core/src/java/org/apache/solr/
-        search/JoinQParserPlugin.java): evaluate the from-query shard-local,
-        gather the `field` doc values of every matching live doc, and return
-        this shard's UNIQUE value set — only distinct join keys cross the
-        wire (JoinQuery's from-side term enumeration).  Cached per
-        (query, field) in the shard's result cache — Solr's join caches the
-        resolved DocSet the same way — so repeated {!join}s and multi-hop
-        {!graph} frontiers skip re-evaluation.  The caller's idf weights
-        are part of the key (sorted items — the per-query dict is small):
-        score partials depend on them, and a caller passing different
-        weights for the same node (e.g. after a stats-generation flip)
-        must not see stale partials."""
-        cache_key = ("join_values", repr(node), field, sim, tuple(sorted(idfs.items())))
-        hit = self._result_cache.get(cache_key)
-        if hit is not None:
-            return hit
-        docs, scores = self._eval(node, idfs, sim)
-        at = self._dv_at(field, docs)
-        if at is None or docs.size == 0:
-            return []
-        # per-key score partials for JoinUtil's ScoreMode (lucene/join/src/
-        # java/org/apache/lucene/search/join/ScoreMode.java): (sum64,
-        # count, max32), accumulated in docID order within the shard
-        # (bincount is sequential), merged on the driver in shard order —
-        # deterministic for a given layout; max/count are order-free.
-        vals, keep = at
-        vals, s64 = vals[keep], scores[keep].astype(np.float32).astype(np.float64)
-        if not vals.size:
-            self._result_cache.put(cache_key, [])
-            return []
-        codes, uniq = pd.factorize(vals)
-        sums = np.bincount(codes, weights=s64)
-        counts = np.bincount(codes)
-        maxs = np.full(len(uniq), -np.inf)
-        np.maximum.at(maxs, codes, s64)
-        out = sorted(
-            (v, float(s), int(c), float(m))
-            for v, s, c, m in zip(uniq.tolist(), sums, counts, maxs)
-        )
-        self._result_cache.put(cache_key, out)
-        return out
 
     def explain(self, node: QueryNode, doc: int, idfs: dict[str, float], sim: str = "bm25"):
         """Score explanation for one doc (Lucene's IndexSearcher.explain /
@@ -1049,7 +1025,10 @@ class IndexShard:
         """Live half of the in-place numeric doc-values update: patch the
         loaded cache for `field` (a cold cache loads THROUGH the sidecar
         the Searcher just wrote, so the patch is idempotent either way).
-        Returns the number of docs this actor owns."""
+        Cached `collect` results may have read the old values, so the
+        result cache is cleared.  Returns the number of docs this actor
+        owns."""
+        self._result_cache.clear()
         dv = self._load_numeric_dv(field)
         if dv is None:
             return 0
@@ -1208,47 +1187,23 @@ class IndexShard:
         sim: str = "bm25",
         after: tuple | None = None,
     ):
-        """→ (doc_ids int64, scores float32), shard-local top-k.
-
-        `after` = (score float32, doc_id) — IndexSearcher.searchAfter
-        (lucene/core/.../search/IndexSearcher.java): only hits STRICTLY
-        after the bound in (score desc, docID asc) rank order survive, so
-        page N+1 never re-ships page N's hits from any shard."""
-        cache_key = (repr(node), k, prune, sim, after)
-        hit = self._result_cache.get(cache_key)
-        if hit is not None:
-            return hit
-        result = self._top_k_uncached(node, k, idfs, prune, sim, after)
-        self._result_cache.put(cache_key, result)
-        return result
-
-    def _top_k_uncached(
-        self,
-        node: QueryNode,
-        k: int,
-        idfs: dict[str, float],
-        prune: bool,
-        sim: str,
-        after: tuple | None = None,
-    ):
+        """The `TOP_SCORES` page of `collect` (its only caller): the
+        block-max or phrase-pruned evaluator when it applies, else the
+        exhaustive match set, then the `top_scores` cut.  → (doc_ids
+        int64, scores float32), shard-local top-k."""
         # searchAfter disables the pruned paths: WAND's θ floor assumes the
         # page starts at rank 0 (Lucene routes searchAfter through a
-        # PagingTopScoreDocCollector for the same reason)
-        if after is not None:
-            prune = False
-        plan = self._prunable_plan(node) if (prune and sim == "bm25") else None
+        # PagingTopScoreDocCollector for the same reason); an empty page
+        # has no kth score to take θ from
+        prune = prune and sim == "bm25" and after is None and k > 0
+        plan = self._prunable_plan(node) if prune else None
         if plan is not None:
             docs, scores = self._eval_bool_pruned(*plan, k, idfs)
-        elif prune and sim == "bm25" and node.kind == "phrase" and node.boost == 1.0:
+        elif prune and node.kind == "phrase" and node.boost == 1.0:
             docs, scores = self._eval_phrase_pruned(node, k, idfs)
         else:
             docs, scores = self._eval(node, idfs, sim)
-        if after is not None and docs.size:
-            a_s, a_d = np.float32(after[0]), int(after[1])
-            s32 = scores.astype(np.float32)
-            keep = (s32 < a_s) | ((s32 == a_s) & (docs > a_d))
-            docs, scores = docs[keep], scores[keep]
-        return _cut_top_k(docs, scores.astype(np.float32), k)
+        return top_scores(self, docs, scores, k, after, prune)
 
     def _prunable_plan(self, node: QueryNode):
         """WAND/block-max pruning applies when every SCORED clause is an
@@ -1387,6 +1342,22 @@ def _cut_top_k(docs: np.ndarray, scores32: np.ndarray, k: int):
 # Each is `fn(shard, docs, scores, *args)` over the match set that
 # `IndexShard.collect` evaluated once (sorted docIDs, float64 scores) and
 # returns one bounded partial; `Searcher` holds the matching merge.
+
+
+def top_scores(shard, docs, scores, k: int, after: tuple | None, prune: bool):
+    """The ranked page (TopScoreDocCollector): the top k by (float32 score
+    desc, docID asc).  `after` = (score float32, doc_id) is IndexSearcher.
+    searchAfter (lucene/core/.../search/IndexSearcher.java): only hits
+    STRICTLY after the bound in rank order survive, so page N+1 never
+    re-ships page N's hits from any shard.  `prune` only picks `top_k`'s
+    evaluator when this is the request's lone collector.
+    → (docs int64, float32 scores)."""
+    if after is not None and docs.size:
+        a_s, a_d = np.float32(after[0]), int(after[1])
+        s32 = scores.astype(np.float32)
+        keep = (s32 < a_s) | ((s32 == a_s) & (docs > a_d))
+        docs, scores = docs[keep], scores[keep]
+    return _cut_top_k(docs, scores.astype(np.float32), k)
 
 
 def count_matches(shard, docs, scores) -> int:
@@ -1788,9 +1759,39 @@ def match_parents_childfield(shard, docs, scores, field: str, sel: str):
     return convs[starts], agg.astype(np.float64)
 
 
+def join_values(shard, docs, scores, field: str) -> list:
+    """JoinQParserPlugin from-side (solr/core/src/java/org/apache/solr/
+    search/JoinQParserPlugin.java): the `field` doc values of every
+    matching live doc, as this shard's UNIQUE value set — only distinct
+    join keys cross the wire (JoinQuery's from-side term enumeration).
+    Per key, the score partials of JoinUtil's ScoreMode (lucene/join/src/
+    java/org/apache/lucene/search/join/ScoreMode.java): (sum64, count,
+    max32), accumulated in docID order within the shard (bincount is
+    sequential) and merged on the driver in shard order — deterministic
+    for a given layout; max/count are order-free.  → sorted [(value,
+    sum, count, max)]."""
+    at = shard._dv_at(field, docs)
+    if at is None or docs.size == 0:
+        return []
+    vals, keep = at
+    vals, s64 = vals[keep], scores[keep].astype(np.float32).astype(np.float64)
+    if not vals.size:
+        return []
+    codes, uniq = pd.factorize(vals)
+    sums = np.bincount(codes, weights=s64)
+    counts = np.bincount(codes)
+    maxs = np.full(len(uniq), -np.inf)
+    np.maximum.at(maxs, codes, s64)
+    return sorted(
+        (v, float(s), int(c), float(m))
+        for v, s, c, m in zip(uniq.tolist(), sums, counts, maxs)
+    )
+
+
 COLLECT = {
     fn.__name__: fn
     for fn in (
+        top_scores,
         count_matches,
         facet_query_counts,
         facet_counts,
@@ -1809,5 +1810,6 @@ COLLECT = {
         match_parents,
         match_children,
         match_parents_childfield,
+        join_values,
     )
 }

@@ -194,21 +194,8 @@ def dispatch(
         raise QParserError(f"unsupported fq parser: {fq!r}")
     name, p, body = parse_local_params(q)
     if name == "lucene":
-        if p.get("q.op", "").upper() == "AND":
-            # q.op=AND (QueryParser.setDefaultOperator): unsigned clauses
-            # become MUST; explicit +/-/# signs keep their occur
-            node = searcher._parse(body)
-            if node is None:
-                return []
-            if node.kind == "bool":
-                from .query import QueryNode
-
-                node = QueryNode(
-                    "bool",
-                    clauses=[("MUST" if occ == "SHOULD" else occ, c) for occ, c in node.clauses],
-                )
-            return searcher.search_node(node, k, similarity=similarity)
-        return searcher.search(body, k, similarity=similarity)
+        node = _lucene_main_node(searcher, p, body)  # honors q.op=AND
+        return [] if node is None else searcher.search_node(node, k, similarity=similarity)
     if name == "field":
         # {!field f=role v=tool} / {!field f=role}tool — exact keyword term
         # (FieldQParserPlugin; no analysis, no wildcard interpretation)

@@ -5,21 +5,19 @@ solr/core/src/java/org/apache/solr/handler/component/QueryComponent.java ::
 createMainQuery/mergeIds) with Lucene's Collector / CollectorManager
 split (SURVEY.md §2.7) as the one shape of every query-scoped feature:
 
-- Ranked page: the parsed query + per-term weights (from the build-time
-  global stats — the ExactStatsCache analog) go to every shard actor's
-  `top_k` (result-cached, WAND-pruned); each returns only (docID, score)
-  for its local top-k, and `_merge_top_k` keeps (score desc, docID asc)
-  over k·P rows — the TopDocs.merge pattern, never a distributed sort.
-- Everything else over the match set — numFound, facet.field /
-  facet.query / facet.range / facet.pivot, stats, grouping, field sorts,
-  collapse/expand, function-scored and function-filtered top-k, block
-  joins — is a COLLECTOR: `_collect` parses, composes fq, rewrites and
-  weighs once, then ONE `collect` scatter evaluates the match set once
-  per shard and runs every asked-for collector (`actor.COLLECT`) over it.
-  Each collector returns one bounded partial and pairs with one driver
-  merge (`_Collect`), so a query-scoped feature is one collector plus one
-  merge, and `handle_select` answers numFound and all its sections in a
-  single request next to the page.
+- Every query-scoped feature is a COLLECTOR over the match set: the
+  ranked page, numFound, facet.field / facet.query / facet.range /
+  facet.pivot, stats, grouping, field sorts, collapse/expand,
+  function-scored and function-filtered top-k, block joins and the
+  {!join}/{!graph} from-side.  `_collect` parses, composes fq, rewrites
+  and weighs once (per-term weights from the build-time global stats —
+  the ExactStatsCache analog), then ONE `collect` scatter evaluates the
+  match set once per shard and runs every asked-for collector
+  (`actor.COLLECT`) over it.  Each collector returns one bounded partial
+  and pairs with one driver merge (`_Collect`); the page's merge,
+  `_merge_top_k`, keeps (score desc, docID asc) over k·P rows — the
+  TopDocs.merge pattern.  `handle_select` answers the page, numFound and
+  all its sections in a single request.
 - Phase GET_FIELDS: `fetch` materializes stored fields (conv_id, turn_idx)
   for the winners only, by reading just the norms/docmap segments whose
   docID range covers them.
@@ -337,10 +335,10 @@ class Searcher:
     # -- distributed term-dictionary operations ---------------------------
     def _scatter(self, method: str, *args):
         """Call an IndexShard method on every actor, gather the results —
-        the ONE round trip to the pool.  Query-scoped features all travel
-        as `_scatter("collect", ...)` (see `_collect`); the other targets
-        are the ranked page (`top_k`), whole-match-set readers
-        (`match_all`, `join_values`, `export_shard_sorted`), dictionary
+        the ONE round trip to the pool.  Query evaluation travels as
+        `_scatter("collect", ...)` (see `_collect`); the only other query
+        targets are `explain` (one doc), `export_shard_sorted` (writes a
+        file) and `match_all` (every hit); the rest are dictionary
         partials (expand, terms, spellcheck) and admin calls.
 
         `self.tolerant` is Solr's `shards.tolerant=true` (solr/core/.../
@@ -576,20 +574,21 @@ class Searcher:
         cross-core `{!join fromIndex=other}`: the subquery is rewritten,
         weighted and scattered over the other collection's shards; only
         its distinct join keys travel to this one."""
+        def merge(parts):
+            merged: dict = {}
+            for part in parts:
+                for v, s, c, m in part:
+                    cur = merged.get(v)
+                    if cur is None:
+                        merged[v] = [s, c, m]
+                    else:
+                        cur[0] += s
+                        cur[1] += c
+                        cur[2] = max(cur[2], m)
+            return merged
+
         src = from_searcher or self
-        prep = src._prepare(self._parse(subquery))
-        if prep is None:
-            return []
-        merged: dict = {}
-        for part in src._scatter("join_values", *prep, from_field):
-            for v, s, c, m in part:
-                cur = merged.get(v)
-                if cur is None:
-                    merged[v] = [s, c, m]
-                else:
-                    cur[0] += s
-                    cur[1] += c
-                    cur[2] = max(cur[2], m)
+        merged = src._collect(self._parse(subquery), [_Collect(("join_values", from_field), merge, {})])[0]
         if not merged:
             return []
         if score == "none":
@@ -659,7 +658,7 @@ class Searcher:
         )
         for _ in range(max_depth):
             new_keys: set = set()
-            for part in self._scatter("join_values", frontier, idfs, from_field):
+            for [part] in self._scatter("collect", frontier, idfs, "bm25", [("join_values", from_field)]):
                 new_keys.update(v for v, _, _, _ in part)
             new_keys -= seen_keys
             if not new_keys:
@@ -1261,11 +1260,12 @@ class Searcher:
         The envelope mirrors Solr's JSON layout so a reference client's
         response-parsing code ports directly.
 
-        numFound and every asked-for section are collectors of ONE
-        `collect` request over the same q∩fq DocSet (Solr's
-        ResponseBuilder contract — facets/stats/groups are filtered): each
-        shard evaluates the match set once.  The page stays on `query()` →
-        `top_k`, result-cached and pruned.  Exotic `{!parser}` main
+        numFound, every asked-for section and the ranked page are
+        collectors of ONE `collect` request over the same q∩fq DocSet
+        (Solr's ResponseBuilder contract — facets/stats/groups are
+        filtered): each shard evaluates the match set once, so numFound
+        and the page always cover the same shards.  A `sort=` page stays
+        on `query()` → `search_sorted`.  Exotic `{!parser}` main
         queries or a local-params fq fall back to materializing the
         matching ids once (the reference holds a DocSet bitset per request
         too); a single `{!frange}` fq counts shard-side.  Section params
@@ -1343,9 +1343,12 @@ class Searcher:
                 pct = [float(p) for p in pct.split(",") if p.strip()]
             sections.append((("stats", "stats_fields", sf), _stats_collector(sf, pct)))
         num_found_exact = True
-        full = None
+        full = hits = None  # hits: the ranked page's first start+rows
         if qname == "lucene" and plain_fq:
-            num_found, *results = self._collect(qnode, [_COUNT] + [c for _, c in sections], fq)
+            n = start + rows if rows and sort is None else 0
+            page = [_top_k_collector(("top_scores", n, None, True), n)] if n else []
+            num_found, *results = self._collect(qnode, [_COUNT] + [c for _, c in sections] + page, fq)
+            hits = results.pop() if page else None
         else:
             results = []  # no sections here: refused above
             fname = fparams = fbody = None
@@ -1383,15 +1386,14 @@ class Searcher:
         if rows == 0:  # counts-only request (rows=0): no docs query at all
             docs = []
         elif fl:
-            page = self.select(q, start + rows, fl=fl, fq=fq, sort=sort).iloc[start:]
-            docs = page.to_dict(orient="records")
+            page = self.select(q, start + rows, fl=fl, fq=fq, sort=sort) if hits is None else self._project(hits, fl)
+            docs = page.iloc[start:].to_dict(orient="records")
         else:
-            hits = full[start : start + rows] if full is not None else self.query(
-                q, rows, fq=fq, start=start, sort=sort
-            )
+            if hits is None:
+                hits = full if full is not None else self.query(q, start + rows, fq=fq, sort=sort)
             docs = [
                 {"doc_id": int(h[0]), ("sort" if sort else "score"): h[1], **({"group": h[2]} if len(h) > 2 else {})}
-                for h in hits
+                for h in hits[start : start + rows]
             ]
         resp["response"] = {
             "numFound": int(num_found),
@@ -1740,15 +1742,8 @@ class Searcher:
         nodes have no string syntax, matching the reference's API-level
         queries).  `after` = (score, doc_id) shard-side strict-after bound
         (searchAfter — see `search_after` for the string-query wrapper)."""
-        # multi-term (prefix/wildcard/fuzzy) expansion against the sorted
-        # global term dictionary (Query.rewrite step, SURVEY.md §3.2)
-        prep = self._prepare(node, similarity=similarity)
-        if prep is None:
-            return []
-        # tombstones masked at decode actor-side: no over-fetch needed —
-        # shard top-k is already live-only
-        parts = self._scatter("top_k", prep[0], k, prep[1], prune and after is None, similarity, after)
-        return self._merge_top_k(parts, k)
+        page = _top_k_collector(("top_scores", k, after, prune and after is None), k)
+        return self._collect(node, [page], similarity=similarity)[0]
 
     def search_collapse(
         self,
@@ -2077,7 +2072,11 @@ class Searcher:
             # a field sort doesn't score (search_sorted returns sort keys,
             # not scores) — refuse rather than mislabel sort values
             raise ValueError("fl=score is unavailable with sort= (field sorts do not score)")
-        hits = self.query(q, k, **kw)
+        return self._project(self.query(q, k, **kw), fl)
+
+    def _project(self, hits: list, fl: list[str]) -> pd.DataFrame:
+        """The fl= projection of ranked `hits` (select's second half): one
+        bounded fetch_fields read for the hit docs only."""
         rows = [(h[0], h[1]) for h in hits]  # collapse triples carry (doc, score, val)
         docs = [d for d, _ in rows]
         out = pd.DataFrame({"doc_id": np.asarray(docs, dtype=np.int64)})

@@ -195,6 +195,7 @@ def test_pruned_equals_exhaustive(searcher):
         assert searcher.search(query, 10, prune=True) == searcher.search(
             query, 10, prune=False
         ), query
+        assert searcher.search(query, 0) == [], query  # no θ floor from an empty page
 
 
 def test_prune_fires_for_conjunctions(ray_session, index):
@@ -670,20 +671,47 @@ def test_duel_lm_dirichlet(searcher, oracle):
     assert searcher.search("error w00005", 10, similarity="lm") != searcher.search("error w00005", 10)
 
 
-def test_query_result_cache(ray_session, index):
-    """queryResultCache: repeated queries hit the per-actor cache."""
+def test_query_result_cache(ray_session, index, tmp_path):
+    """queryResultCache: one per-actor cache keys every `collect` request.
+    Repeated searches and repeated faceted /select requests hit it, a
+    different facet field or fq misses, and deletes and dv updates empty
+    it (on a copy of the index: both write to the index dir)."""
+    import shutil
+
     import ray
 
-    s2 = Searcher(INDEX_DIR)
+    idx = str(tmp_path / "idx")
+    shutil.copytree(INDEX_DIR, idx)
+    s2 = Searcher(idx)
+
+    def cache():
+        st = ray.get([a.result_cache_stats.remote() for a in s2.actors])
+        return [sum(c[f] for c in st) for f in ("hits", "misses", "items")]
+
     try:
         r1 = s2.search("error ok", 10)
         r2 = s2.search("error ok", 10)
         assert r1 == r2
-        stats = ray.get(s2.actors[0].prune_stats.remote())
-        # at least the repeat got served from the result cache
-        # (result cache stats ride on the same actor; verify via a direct call)
-        hits = ray.get(s2.actors[0].result_cache_stats.remote())
-        assert hits["hits"] >= 1
+        assert ray.get(s2.actors[0].result_cache_stats.remote())["hits"] >= 1
+        n = len(s2.actors)
+        sel = {"q": "error", "rows": 5, "fq": "role:tool", "facet.field": "role"}
+        r = s2.handle_select(sel)
+        h0, m0, _ = cache()
+        assert s2.handle_select(sel) == r
+        h1, m1, _ = cache()
+        assert (h1 - h0, m1 - m0) == (n, 0)  # one cached collect per actor
+        for other in ({**sel, "facet.field": "tool"}, {**sel, "fq": "role:user"}):
+            s2.handle_select(other)
+            h2, m2, _ = cache()
+            assert (h2 - h1, m2 - m1) == (0, n), other
+            h1, m1 = h2, m2
+        assert cache()[2] > 0
+        assert s2.delete_by_query("bash") > 0
+        assert cache()[2] == 0
+        s2.handle_select(sel)
+        assert cache()[2] > 0
+        s2.update_numeric_docvalues("turn_idx", {r["response"]["docs"][0]["doc_id"]: 7})
+        assert cache()[2] == 0
     finally:
         s2.close()
 

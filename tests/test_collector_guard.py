@@ -2,7 +2,9 @@
 The match set evaluates in ONE place per request, `IndexShard.collect`;
 these tests scan the search sources so no feature re-grows its own shard
 method (a public method that calls `self._eval(`) or its own scatter to
-one (`_scatter("<collector name>", ...)` in searcher.py)."""
+one (`_scatter("<collector name>", ...)` in searcher.py), and the ranked
+page stays a collector (`top_k` is `collect`'s pruned page, never a
+scatter target)."""
 
 import ast
 from pathlib import Path
@@ -10,9 +12,13 @@ from pathlib import Path
 SEARCH = Path(__file__).resolve().parents[1] / "lucene_solr_ray" / "search"
 
 # public IndexShard methods that may evaluate a query themselves: the
-# collector host, the cached join from-side, one-doc explain, the /export
-# file writer and the whole-match-set reader
-EVAL_ALLOWED = {"collect", "join_values", "explain", "export_shard_sorted", "match_all"}
+# collector host, its pruned TOP_SCORES page (only `collect` calls
+# `top_k`), one-doc explain, the /export file writer and the
+# whole-match-set reader
+EVAL_ALLOWED = {"collect", "top_k", "explain", "export_shard_sorted", "match_all"}
+
+# the pruned page: `collect` calls it, the driver never scatters to it
+UNSCATTERED = {"top_k"}
 
 # the per-feature shard methods the collectors replaced
 RETIRED = {
@@ -56,14 +62,32 @@ def shard_violations(source: str) -> list[str]:
 
 def scatter_violations(source: str, collectors) -> list[str]:
     """→ one message per `_scatter("<name>", ...)` naming a collector (or
-    a retired per-feature method) instead of going through `collect`."""
+    a retired or unscattered method) instead of going through `collect`."""
     out = []
     for node in ast.walk(ast.parse(source)):
         f = getattr(node, "func", None)
         if isinstance(node, ast.Call) and isinstance(f, ast.Attribute) and f.attr == "_scatter" and node.args:
             name = node.args[0]
-            if isinstance(name, ast.Constant) and (name.value in collectors or name.value in RETIRED):
+            if isinstance(name, ast.Constant) and name.value in {*collectors, *RETIRED, *UNSCATTERED}:
                 out.append(f"searcher.py:{node.lineno}: _scatter({name.value!r}) — use Searcher._collect")
+    return out
+
+
+def top_k_callers(source: str) -> list[str]:
+    """→ the IndexShard methods that call `self.top_k(`."""
+    out = []
+    for cls in ast.walk(ast.parse(source)):
+        if isinstance(cls, ast.ClassDef) and cls.name == "IndexShard":
+            for fn in cls.body:
+                if isinstance(fn, ast.FunctionDef) and any(
+                    isinstance(n, ast.Call)
+                    and isinstance(n.func, ast.Attribute)
+                    and n.func.attr == "top_k"
+                    and isinstance(n.func.value, ast.Name)
+                    and n.func.value.id == "self"
+                    for n in ast.walk(fn)
+                ):
+                    out.append(fn.name)
     return out
 
 
@@ -77,10 +101,19 @@ def test_searcher_scatters_no_collector():
     assert scatter_violations((SEARCH / "searcher.py").read_text(), COLLECT) == []
 
 
+def test_searcher_scatters_no_page_or_join():
+    src = (SEARCH / "searcher.py").read_text()
+    assert '_scatter("top_k"' not in src and '_scatter("join_values"' not in src
+
+
+def test_only_collect_calls_top_k():
+    assert top_k_callers((SEARCH / "actor.py").read_text()) == ["collect"]
+
+
 def test_retired_shard_methods_are_gone():
     from lucene_solr_ray.search.actor import COLLECT, IndexShard
 
-    assert not [m for m in RETIRED if hasattr(IndexShard, m)]
+    assert not [m for m in RETIRED | {"join_values", "_top_k_uncached"} if hasattr(IndexShard, m)]
     # every collector takes (shard, docs, scores, *args)
     for fn in COLLECT.values():
         assert fn.__code__.co_varnames[:3] == ("shard", "docs", "scores"), fn.__name__
@@ -97,16 +130,20 @@ class IndexShard:
     def _private(self, node, idfs):
         return self._eval(node, idfs)
     def top_k(self, node, k, idfs):
-        return self._top_k_uncached(node, k, idfs)
+        return self._eval(node, idfs)
+    def join_values(self, node, idfs, field):
+        return self.top_k(node, 10, idfs)
 """
     found = shard_violations(shard_src)
     assert len(found) == 1 and "facet_counts" in found[0]
+    assert top_k_callers(shard_src) == ["join_values"]
     searcher_src = """
 def f(self, node, idfs):
     self._scatter("facet_counts", node, idfs, "role")
     self._scatter("top_k_franged", node, 5, idfs)
     self._scatter("collect", node, idfs, "bm25", [("facet_counts", "role")])
     self._scatter("top_k", node, 10, idfs)
+    self._scatter("explain", node, 3, idfs)
 """
     found = scatter_violations(searcher_src, {"facet_counts"})
-    assert [m.split("_scatter(")[1].split(")")[0] for m in found] == ["'facet_counts'", "'top_k_franged'"]
+    assert [m.split("_scatter(")[1].split(")")[0] for m in found] == ["'facet_counts'", "'top_k_franged'", "'top_k'"]

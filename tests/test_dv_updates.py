@@ -77,3 +77,27 @@ def test_dv_updates_survive_compaction(ray_session, tmp_path):
         assert s2.stats_field("assistant", "turn_idx")["max"] == 700 + len(docs) - 1
     finally:
         s2.close()
+
+
+def test_dv_update_invalidates_result_cache(ray_session, index, tmp_path):  # noqa: F811
+    """A cached `collect` result that read a dv field (a covering query's
+    per-doc min-match count) is dropped by the update: the same Searcher
+    answers like a fresh one."""
+    import shutil
+
+    idx = str(tmp_path / "idx")
+    shutil.copytree(INDEX_DIR, idx)
+    queries = ["tool", "output", "error"]
+    s = Searcher(idx)
+    try:
+        before = s.search_covering(queries, "turn_idx", 5)
+        assert before
+        s.update_numeric_docvalues("turn_idx", {d: 99 for d, _ in before})
+        after = s.search_covering(queries, "turn_idx", 5)
+    finally:
+        s.close()
+    fresh = Searcher(idx)
+    try:
+        assert after == fresh.search_covering(queries, "turn_idx", 5) != before
+    finally:
+        fresh.close()

@@ -98,8 +98,8 @@ def test_handle_select_range_and_grouping(searcher):  # noqa: F811
 
 
 def test_handle_select_one_collect_request(searcher):  # noqa: F811
-    """numFound and every section ride ONE `collect` scatter over the
-    q∩fq match set; the page is the one `top_k` scatter next to it."""
+    """numFound, every section and the page ride ONE `collect` scatter
+    over the q∩fq match set."""
     calls = []
     scatter = searcher._scatter
     searcher._scatter = lambda method, *a: calls.append(method) or scatter(method, *a)
@@ -120,8 +120,10 @@ def test_handle_select_one_collect_request(searcher):  # noqa: F811
         r = searcher.handle_select(params)
     finally:
         del searcher._scatter
-    assert sorted(calls) == ["collect", "top_k"]
-    # and each section still equals its own component call
+    assert calls == ["collect"]
+    # the page is the default-parser page, and each section still equals
+    # its own component call
+    assert [(d["doc_id"], d["score"]) for d in r["response"]["docs"]] == searcher.query("output", 4, fq="role:tool")
     fc = r["facet_counts"]
     assert r["response"]["numFound"] == searcher.count("output", fq="role:tool") > 0
     assert fc["facet_fields"]["tool"] == searcher.facet_search("output", "tool", fq="role:tool")

@@ -50,3 +50,32 @@ def test_shards_tolerant_partial_results(ray_session):
             s.count("error")
     finally:
         s.close()
+
+
+def test_tolerant_select_answers_from_one_live_subset(ray_session, tmp_path):
+    """A shard that dies after the first scatter cannot split a /select
+    answer: the page, numFound and the facets come from the same live
+    subset."""
+    import ray
+
+    paths = write_transcripts(str(tmp_path / "corpus"), 80, 4)
+    build_index(paths, str(tmp_path / "index"), files_per_shard=2)  # 2 shards
+    s = Searcher(str(tmp_path / "index"))
+    scatter, killed = s._scatter, []
+
+    def scatter_then_kill(method, *args):
+        out = scatter(method, *args)
+        if not killed:
+            ray.kill(s.actors[0])
+            killed.append(method)
+        return out
+
+    s._scatter = scatter_then_kill
+    s.tolerant = True
+    try:
+        r = s.handle_select({"q": "error", "rows": 10**6, "facet.field": "role"})
+        docs, n = r["response"]["docs"], r["response"]["numFound"]
+        assert n > 0 and len(docs) == n == sum(c for _, c in r["facet_counts"]["facet_fields"]["role"])
+    finally:
+        del s._scatter
+        s.close()
