@@ -209,7 +209,8 @@ def tokenized_analyze_batch(texts, index_tokenize) -> dict:
     — the configurable-analysis slow path (per-row loop; the default
     standard chain stays fully vectorized).  Accepts a pyarrow Array.
     `index_tokenize(text) -> [(term, pos)]` supplies the chain — shared by
-    the icu and ja index paths so the accumulation contract can't diverge."""
+    every `analysis.index_tokenizer` chain so the accumulation contract
+    can't diverge."""
     import pyarrow as pa
 
     if isinstance(texts, pa.ChunkedArray):
@@ -231,11 +232,6 @@ def tokenized_analyze_batch(texts, index_tokenize) -> dict:
         "pos": np.asarray(poss, dtype=np.int64),
         "dl": dl,
     }
-
-
-def icu_analyze_batch(texts) -> dict:
-    """`analyze_batch` over the ICU chain (see tokenized_analyze_batch)."""
-    return tokenized_analyze_batch(texts, icu_index_tokenize)
 
 
 def icu_tokenizer():

@@ -162,14 +162,6 @@ def ja_index_tokenize(text: str) -> list[tuple[str, int]]:
     ]
 
 
-def ja_analyze_batch(texts) -> dict:
-    """`analyze_batch` over the ja chain — delegates to the shared ICU
-    accumulation kernel so the output contract can't diverge."""
-    from .icu import tokenized_analyze_batch
-
-    return tokenized_analyze_batch(texts, ja_index_tokenize)
-
-
 def ja_tokenizer():
     """TOKENIZER_REGISTRY entry ("ja")."""
     return ja_tokenize

@@ -111,14 +111,6 @@ def ko_index_tokenize(text: str) -> list[tuple[str, int]]:
     ]
 
 
-def ko_analyze_batch(texts) -> dict:
-    """`analyze_batch` over the ko chain — delegates to the shared ICU
-    accumulation kernel so the output contract can't diverge."""
-    from .icu import tokenized_analyze_batch
-
-    return tokenized_analyze_batch(texts, ko_index_tokenize)
-
-
 def ko_tokenizer():
     """TOKENIZER_REGISTRY entry ("ko")."""
     return ko_tokenize

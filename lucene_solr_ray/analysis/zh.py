@@ -118,14 +118,6 @@ def zh_index_tokenize(text: str) -> list[tuple[str, int]]:
     ]
 
 
-def zh_analyze_batch(texts) -> dict:
-    """`analyze_batch` over the zh chain — delegates to the shared ICU
-    accumulation kernel so the output contract can't diverge."""
-    from .icu import tokenized_analyze_batch
-
-    return tokenized_analyze_batch(texts, zh_index_tokenize)
-
-
 def zh_tokenizer():
     """TOKENIZER_REGISTRY entry ("zh")."""
     return zh_tokenize

@@ -34,6 +34,7 @@ Physical design (SURVEY.md §7.0, designed for 100 TB / multi-node):
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -49,7 +50,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-from ..analysis import analyze_batch, tokenize
+from ..analysis import analyze_batch, index_tokenizer, tokenize
+from ..analysis.icu import tokenized_analyze_batch
 from . import codec
 from .manifest import Manifest
 from .smallfloat import int_to_byte4_np
@@ -153,29 +155,14 @@ KEYWORD_FIELDS = ("role", "tool")
 
 def _batch_analyzer(tokenizer: str):
     """Index-side batch analyzer by name: "standard" is the vectorized
-    Arrow chain; "icu" is the ICU-lite multilingual chain (per-row loop —
-    the configurable-analysis slow path, like token_filter).  The choice is
-    part of the config fingerprint AND persisted in the manifest so the
+    Arrow chain; any other `analysis.index_tokenizer` chain runs per row
+    (the configurable-analysis slow path, like token_filter).  The choice
+    is part of the config fingerprint AND persisted in the manifest so the
     Searcher analyzes queries with the same chain."""
-    if tokenizer == "standard":
+    index_tokenize = index_tokenizer(tokenizer)
+    if index_tokenize is None:
         return analyze_batch
-    if tokenizer in ("icu", "cjk"):  # "cjk" = the registry's alias for
-        from ..analysis.icu import icu_analyze_batch  # the same chain
-
-        return icu_analyze_batch
-    if tokenizer == "ja":  # kuromoji-lite lattice (analysis/ja.py)
-        from ..analysis.ja import ja_analyze_batch
-
-        return ja_analyze_batch
-    if tokenizer == "ko":  # nori-lite suffix strip (analysis/ko.py)
-        from ..analysis.ko import ko_analyze_batch
-
-        return ko_analyze_batch
-    if tokenizer == "zh":  # smartcn-lite lattice (analysis/zh.py)
-        from ..analysis.zh import zh_analyze_batch
-
-        return zh_analyze_batch
-    raise ValueError(f"unknown tokenizer {tokenizer!r} (standard|icu|cjk|ja|ko|zh)")
+    return functools.partial(tokenized_analyze_batch, index_tokenize=index_tokenize)
 
 
 def _apply_token_filter(tok: dict, flt, n_rows: int) -> dict:
@@ -584,6 +571,7 @@ def build_index(
     FIELD's own norms/avgdl; `keyword_fields` stay untokenized
     `field:value` filter terms."""
     index_dir = Path(index_dir)
+    index_tokenizer(tokenizer)  # an unknown name fails before any work
     specs = plan_files(input_paths)
     analyzed_fields = tuple(analyzed_fields)
     keyword_fields = tuple(keyword_fields)

@@ -290,8 +290,9 @@ class BruteForceIndex:
             w_sum = sum(dfr_weight(self.df.get(t, 0), self.N) for t in terms)
             return self._dfr_score(pf, w_sum, doc, field)
         if sim in ("dfr_if", "dfr_ine"):
-            # phrase weight = Σ per-term weights (engine sums _term_weights
-            # leaves inside _score_phrase, like base dfr)
+            # phrase weight = Σ per-term weights (the engine's one phrase
+            # scorer, _score_phrase, sums the _term_weights leaves of every
+            # slot alternative, like base dfr)
             from .search.bm25 import dfr_if_weight, dfr_ine_weight
 
             wf = dfr_if_weight if sim == "dfr_if" else dfr_ine_weight

@@ -134,21 +134,11 @@ class MonitorMatcher:
                 v[doc_idx[codes == c]] = True
             return v
 
-        def phrase_vec(terms: list[str]) -> np.ndarray:
-            v = np.zeros(n, dtype=bool)
-            if any(t not in code_of for t in terms):
-                return v
-            cand = key[codes == code_of[terms[0]]]
-            for j, t in enumerate(terms[1:], 1):
-                cand = cand[np.isin(cand, key[codes == code_of[t]] - j)]
-                if not cand.size:
-                    return v
-            v[cand // stride] = True
-            return v
-
         def slot_keys(alts: list[str], j: int) -> np.ndarray:
             parts = [key[codes == code_of[t]] - j for t in alts if t in code_of]
-            return np.unique(np.concatenate(parts)) if parts else np.empty(0, np.int64)
+            if len(parts) <= 1:  # one term's keys are already sorted and unique
+                return parts[0] if parts else np.empty(0, np.int64)
+            return np.unique(np.concatenate(parts))
 
         def multi_phrase_vec(slots: list[list[str]]) -> np.ndarray:
             # per-slot alternative UNION on positions (MultiPhraseQuery)
@@ -168,7 +158,7 @@ class MonitorMatcher:
             if node.kind == "term":
                 return term_vec(node.terms[0])
             if node.kind == "phrase":
-                return phrase_vec(node.terms)
+                return multi_phrase_vec([[t] for t in node.terms])
             if node.kind == "multi_phrase":
                 return multi_phrase_vec(node.slots)
             if node.kind == "complex_phrase":

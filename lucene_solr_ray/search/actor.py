@@ -16,14 +16,17 @@ decoded posting arrays:
   (lucene/core/.../search/TermQuery.java + TermScorer.java)
 - BooleanQuery → sorted-array intersect/union/difference with score
   accumulation (BooleanWeight / ConjunctionDISI / DisjunctionSumScorer)
-- PhraseQuery  → composite-key (doc, pos−offset) intersection over decoded
-  position lists (ExactPhraseMatcher)
+- PhraseQuery / MultiPhraseQuery → one matcher over per-slot postings (a
+  multi-alternative slot is one union posting list, UnionPostingsEnum):
+  composite-key (doc, pos−offset) intersection (ExactPhraseMatcher) or
+  greedy chains (SloppyPhraseMatcher)
 - top-k        → argpartition + (score desc, docID asc) tie-break
   (TopScoreDocCollector / HitQueue)
-- block-max pruning for scored disjunctions via per-block upper bounds
-  (WANDScorer / MaxScoreCache; Ding & Suel 2011) — vectorized variant:
-  exact-score the top candidate blocks to get a floor θ, then drop all docs
-  whose summed block upper bound < θ before exact scoring.
+- block-max pruning for term-scored booleans and phrases via per-doc upper
+  bounds (WANDScorer / MaxScoreCache; Ding & Suel 2011) — vectorized
+  variant, one θ cut (`_block_max`): exact-score the k best-bounded
+  candidates to get a floor θ, then drop all docs whose upper bound < θ
+  before exact scoring.
 
 Salted posting runs (skew handling) are concatenated in salt order at first
 touch — runs cover disjoint, increasing docID ranges by construction.
@@ -38,6 +41,8 @@ import pyarrow.parquet as pq
 from ..index import codec
 from .bm25 import (
     block_upper_bound,
+    make_axiomatic_table,
+    make_dfr_table,
     score_postings,
     score_postings_classic,
     score_postings_dfr,
@@ -49,6 +54,7 @@ _POS_LIMIT = 1 << 22  # composite phrase key = doc * _POS_LIMIT + pos
 
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
 _EMPTY_F64 = np.empty(0, dtype=np.float64)
+_IV_CHUNK = 1 << 18  # candidate chunk: keeps doc·L² composite keys in int64
 
 
 class IndexShard:
@@ -323,31 +329,15 @@ class IndexShard:
                 return c
         return self.norm_cache
 
-    def _dfr_table_for(self, term: str) -> np.ndarray:
-        """Per-field DFR tfn factor table, built once per actor per field."""
-        field = ""
-        if ":" in term:
-            f = term.split(":", 1)[0]
-            if f in self._avgdls:
-                field = f
-        if field not in self._dfr_tables:
-            from .bm25 import make_dfr_table
-
-            self._dfr_tables[field] = make_dfr_table(self._avgdls.get(field, 0.0))
-        return self._dfr_tables[field]
-
-    def _axio_table_for(self, term: str) -> np.ndarray:
-        """Per-field Axiomatic F2EXP denominator table (s + s·dl/avgdl)."""
-        field = ""
-        if ":" in term:
-            f = term.split(":", 1)[0]
-            if f in self._avgdls:
-                field = f
-        if field not in self._axio_tables:
-            from .bm25 import make_axiomatic_table
-
-            self._axio_tables[field] = make_axiomatic_table(self._avgdls.get(field, 0.0))
-        return self._axio_tables[field]
+    def _field_table(self, term: str, make, tables: dict) -> np.ndarray:
+        """Per-field factor table `make(avgdl)` (DFR tfn, Axiomatic F2EXP
+        denominator), built once per actor per field into `tables`."""
+        field = term.split(":", 1)[0] if ":" in term else ""
+        if field not in self._avgdls:
+            field = ""
+        if field not in tables:
+            tables[field] = make(self._avgdls.get(field, 0.0))
+        return tables[field]
 
     def _apply_sim(
         self, freqs: np.ndarray, norm_b: np.ndarray, w: float, sim: str, lead: str
@@ -370,12 +360,12 @@ class IndexShard:
             return score_postings_lm(freqs, norm_b, w)
         if sim == "lmjm":
             return score_postings_lmjm(freqs, norm_b, w)
-        if sim.startswith("dfr"):  # dfr / dfr_if / dfr_ine share the L+H2 kernel
-            return score_postings_dfr(freqs, norm_b, w, self._dfr_table_for(lead))
-        if sim == "ib":
-            return score_postings_ib(freqs, norm_b, w, self._dfr_table_for(lead))
+        if sim.startswith("dfr") or sim == "ib":  # dfr / dfr_if / dfr_ine / ib: the DFR tfn table
+            tfn = self._field_table(lead, make_dfr_table, self._dfr_tables)
+            return (score_postings_ib if sim == "ib" else score_postings_dfr)(freqs, norm_b, w, tfn)
         if sim == "axiomatic":
-            return score_postings_axiomatic(freqs, norm_b, w, self._axio_table_for(lead))
+            axio = self._field_table(lead, make_axiomatic_table, self._axio_tables)
+            return score_postings_axiomatic(freqs, norm_b, w, axio)
         if sim == "bool":
             return score_postings_bool(freqs, w)
         if sim.startswith("dfi"):
@@ -415,129 +405,67 @@ class IndexShard:
         w = idfs.get(synonym_weight_key(terms), 0.0)
         return docs, self._apply_sim(freqs, norms, w, sim, terms[0])
 
-    def _score_phrase(self, terms: list[str], idfs: dict[str, float], slop: int = 0, sim: str = "bm25"):
-        """Phrase matching: (docs, scores) for docs with phrase_freq > 0.
-        slop=0 uses the vectorized composite-key exact matcher; slop>0
-        walks candidate docs with the shared sloppy matcher."""
+    def _slot_postings(self, alts: list[str]):
+        """One phrase slot as one posting list (MultiPhraseQuery's
+        UnionPostingsEnum): a one-term slot is that term's postings; several
+        alternatives union per doc — positions deduped (a graph-analyzed
+        index can put two alternatives at one position), freq = distinct
+        positions, norm from the first alternative in slot order that holds
+        the doc.  → (docs, freqs, norms, positions, starts) or None."""
+        pl = [p for t in alts if (p := self._postings(t, with_positions=True)) is not None]
+        if len(pl) <= 1:
+            return pl[0] if pl else None
+        keys = np.unique(np.concatenate([np.repeat(p[0], p[1]) * _POS_LIMIT + p[3] for p in pl]))
+        docs, starts, freqs = np.unique(keys // _POS_LIMIT, return_index=True, return_counts=True)
+        d = np.concatenate([p[0] for p in pl])
+        n = np.concatenate([p[2] for p in pl])
+        order = np.argsort(d, kind="stable")
+        d, n = d[order], n[order]
+        first = np.ones(d.size, bool)
+        first[1:] = d[1:] != d[:-1]
+        return docs, freqs, n[first], keys % _POS_LIMIT, starts
+
+    def _score_phrase(
+        self, slots: list[list[str]], idfs: dict[str, float], slop: int = 0, sim: str = "bm25"
+    ):
+        """PhraseQuery and MultiPhraseQuery (ExactPhraseMatcher /
+        SloppyPhraseMatcher over per-slot postings; a phrase is a
+        multi-phrase of one-term slots): (docs, scores) for docs with
+        phrase_freq > 0.  slop=0 intersects composite (doc, pos−offset)
+        keys; slop>0 counts greedy chains (`_phrase_counts`).  Norms come
+        from slot 0 (every match holds it); idf sums over every
+        alternative — absent terms carry idf 0.0 in the GLOBAL stats, so
+        the sum is shard-independent; a slot with no indexed alternative
+        matches nothing."""
         plists = []
-        for t in terms:
-            p = self._postings(t, with_positions=True)
+        for alts in slots:
+            p = self._slot_postings(alts)
             if p is None:
                 return _EMPTY_I64, _EMPTY_F64
             plists.append(p)
-        if slop > 0:
-            return self._score_sloppy(terms, plists, idfs, slop, sim)
-        # composite keys (doc * POS_LIMIT + pos - offset), intersected
-        keys = None
-        for off, (docs, freqs, norms, positions, starts) in enumerate(plists):
-            doc_of_pos = np.repeat(docs, freqs)
-            pos_adj = positions - off
-            valid = pos_adj >= 0
-            k = doc_of_pos[valid] * _POS_LIMIT + pos_adj[valid]
-            keys = k if keys is None else np.intersect1d(keys, k, assume_unique=True)
-            if keys.size == 0:
-                return _EMPTY_I64, _EMPTY_F64
-        match_docs, pf = np.unique(keys // _POS_LIMIT, return_counts=True)
-        # norms of matching docs from the first term's posting list
-        docs0, _, norms0 = plists[0][0], plists[0][1], plists[0][2]
-        idx = np.searchsorted(docs0, match_docs)
-        norm_b = norms0[idx]
-        idf_sum = sum(idfs.get(t, 0.0) for t in terms)
-        return match_docs, self._apply_sim(pf, norm_b, idf_sum, sim, terms[0])
-
-    def _score_multi_phrase(
-        self, slots: list[list[str]], idfs: dict[str, float], slop: int = 0, sim: str = "bm25"
-    ):
-        """MultiPhraseQuery (lucene/core/.../search/MultiPhraseQuery.java):
-        each slot's alternative postings UNION before the phrase chain —
-        slop=0 reuses the composite-key intersect on per-slot unioned
-        keys; slop>0 chains per-slot unioned intervals.  idf sums over
-        every alternative (BM25Similarity over combined TermStatistics);
-        a slot with no indexed alternative matches nothing."""
-        slot_plists: list[list[tuple]] = []
-        for alts in slots:
-            pl = [p for t in alts if (p := self._postings(t, with_positions=True)) is not None]
-            if not pl:
-                return _EMPTY_I64, _EMPTY_F64
-            slot_plists.append(pl)
-        # norms map: union of slot-0 alternatives (any match contains one)
-        d0 = np.concatenate([p[0] for p in slot_plists[0]])
-        n0 = np.concatenate([p[2] for p in slot_plists[0]])
-        order = np.argsort(d0, kind="stable")
-        d0, n0 = d0[order], n0[order]
-        keep = np.ones(d0.size, bool)
-        keep[1:] = d0[1:] != d0[:-1]
-        d0, n0 = d0[keep], n0[keep]
-        # absent terms carry idf 0.0 in the GLOBAL stats (no TermStatistics
-        # in the reference either), so the plain sum is shard-independent
-        idf_sum = sum(idfs.get(t, 0.0) for alts in slots for t in alts)
         if slop == 0:
             keys = None
-            for off, pl in enumerate(slot_plists):
-                ks = []
-                for docs, freqs, _, positions, _ in pl:
-                    doc_of_pos = np.repeat(docs, freqs)
-                    pos_adj = positions - off
-                    valid = pos_adj >= 0
-                    ks.append(doc_of_pos[valid] * _POS_LIMIT + pos_adj[valid])
-                k = np.unique(np.concatenate(ks))  # union + dedup per slot
+            for off, (docs, freqs, _, positions, _) in enumerate(plists):
+                doc_of_pos = np.repeat(docs, freqs)
+                pos_adj = positions - off
+                valid = pos_adj >= 0
+                k = doc_of_pos[valid] * _POS_LIMIT + pos_adj[valid]
                 keys = k if keys is None else np.intersect1d(keys, k, assume_unique=True)
                 if keys.size == 0:
                     return _EMPTY_I64, _EMPTY_F64
             match_docs, pf = np.unique(keys // _POS_LIMIT, return_counts=True)
-            pf = pf.astype(np.float64)
         else:
-            cand = None
-            for pl in slot_plists:
-                u = np.unique(np.concatenate([p[0] for p in pl]))
-                cand = u if cand is None else np.intersect1d(cand, u, assume_unique=True)
+            cand = plists[0][0]
+            for p in plists[1:]:
+                cand = np.intersect1d(cand, p[0], assume_unique=True)
                 if cand.size == 0:
                     return _EMPTY_I64, _EMPTY_F64
-            counts = self._multi_phrase_counts(slot_plists, cand, slop)
-            nz = counts > 0
-            match_docs, pf = cand[nz], counts[nz]
-            if match_docs.size == 0:
-                return _EMPTY_I64, _EMPTY_F64
-        idx = np.searchsorted(d0, match_docs)
-        norm_b = n0[idx]
-        lead = slots[0][0]
-        return match_docs, self._apply_sim(pf, norm_b, idf_sum, sim, lead)
-
-    def _multi_phrase_counts(self, slot_plists, cand: np.ndarray, slop: int) -> np.ndarray:
-        """Sloppy multi-phrase frequencies: per-slot position UNIONS feed
-        the same greedy chain + sloppyWeight sum as `_phrase_counts`."""
-        from .intervals import chain_spans
-
-        all_counts = []
-        for c0 in range(0, cand.size, self._IV_CHUNK):
-            chunk = cand[c0 : c0 + self._IV_CHUNK]
-            children = [self._slot_intervals(pl, chunk) for pl in slot_plists]
-            idoc, s, e = chain_spans(children, minimal=False)
-            if idoc.size:
-                ml = (e - s) - (len(slot_plists) - 1)
-                ok = ml <= slop
-                counts = np.bincount(idoc[ok], weights=1.0 / (1.0 + ml[ok]), minlength=chunk.size)
-            else:
-                counts = np.zeros(chunk.size, np.float64)
-            all_counts.append(counts)
-        return np.concatenate(all_counts) if all_counts else np.zeros(0, np.float64)
-
-    @staticmethod
-    def _slot_intervals(pl: list[tuple], cand: np.ndarray):
-        """Union of a slot's alternative term positions within cand docs,
-        deduped (graph-analyzed indexes can put two alternatives at the
-        same position) and (idoc, start)-sorted for chain_spans."""
-        from .intervals import term_intervals
-
-        parts = [term_intervals(lambda _t, _p=p: _p, "", cand) for p in pl]
-        idoc = np.concatenate([x[0] for x in parts])
-        pos = np.concatenate([x[1] for x in parts])
-        if idoc.size:
-            key = np.unique(idoc * _POS_LIMIT + pos)
-            idoc, pos = key // _POS_LIMIT, key % _POS_LIMIT
-        return idoc, pos, pos.copy()
-
-    _IV_CHUNK = 1 << 18  # candidate chunk: keeps doc·L² composite keys in int64
+            pf = self._phrase_counts(plists, cand, slop)
+            hit = pf > 0
+            match_docs, pf = cand[hit], pf[hit]
+        norm_b = plists[0][2][np.searchsorted(plists[0][0], match_docs)]
+        idf_sum = sum(idfs.get(t, 0.0) for alts in slots for t in alts)
+        return match_docs, self._apply_sim(pf, norm_b, idf_sum, sim, slots[0][0])
 
     def _score_freq_docs(self, cand: np.ndarray, counts: np.ndarray, terms, idfs, sim):
         """Score docs with per-doc match frequencies like a phrase (summed
@@ -590,54 +518,33 @@ class IndexShard:
         cand = IV.candidate_docs(tree, provider)
         if cand.size == 0:
             return _EMPTY_I64, _EMPTY_F64
-        all_docs, all_counts = [], []
-        for c0 in range(0, cand.size, self._IV_CHUNK):
-            chunk = cand[c0 : c0 + self._IV_CHUNK]
+
+        def count(chunk):
             idoc, _, _ = IV.eval_batch(tree, provider, chunk)
-            counts = np.bincount(idoc, minlength=chunk.size) if idoc.size else np.zeros(chunk.size, np.int64)
-            all_docs.append(chunk)
-            all_counts.append(counts)
-        cand = np.concatenate(all_docs)
-        counts = np.concatenate(all_counts)
-        return self._score_freq_docs(cand, counts, tree.leaf_terms(), idfs, sim)
+            return np.bincount(idoc, minlength=chunk.size) if idoc.size else np.zeros(chunk.size, np.int64)
 
-    def _phrase_counts(self, terms, cand: np.ndarray, slop: int) -> np.ndarray:
-        """Greedy-chain sloppy phrase frequencies for the candidate docs
-        (position-verify stage, vectorized over docs via chain_spans):
-        each match weighs 1/(1+matchLength) — Lucene's sloppyWeight — and
-        the per-doc sum accumulates in p1 order (bincount input order),
-        matching the oracle's sequential sum bit-for-bit.  slop=0 reduces
-        to integral exact-phrase counts (weight 1)."""
-        from .intervals import chain_spans, term_intervals
+        return self._score_freq_docs(cand, _chunked_counts(cand, count), tree.leaf_terms(), idfs, sim)
 
-        provider = lambda t: self._postings(t, with_positions=True)  # noqa: E731
-        all_counts = []
-        for c0 in range(0, cand.size, self._IV_CHUNK):
-            chunk = cand[c0 : c0 + self._IV_CHUNK]
-            children = [term_intervals(provider, t, chunk) for t in terms]
-            idoc, s, e = chain_spans(children, minimal=False)
-            if idoc.size:
-                ml = (e - s) - (len(terms) - 1)
-                ok = ml <= slop
-                counts = np.bincount(
-                    idoc[ok], weights=1.0 / (1.0 + ml[ok]), minlength=chunk.size
-                )
-            else:
-                counts = np.zeros(chunk.size, np.float64)
-            all_counts.append(counts)
-        return np.concatenate(all_counts) if all_counts else np.zeros(0, np.float64)
+    @staticmethod
+    def _phrase_counts(plists, cand: np.ndarray, slop: int) -> np.ndarray:
+        """Greedy-chain sloppy phrase frequencies of the candidate docs over
+        the slots' postings (position-verify stage, vectorized over docs
+        via chain_spans): each match weighs 1/(1+matchLength) — Lucene's
+        sloppyWeight — and the per-doc sum accumulates in p1 order
+        (bincount input order), matching the oracle's sequential sum
+        bit-for-bit.  slop=0 reduces to integral exact-phrase counts
+        (weight 1)."""
+        from .intervals import chain_spans, postings_intervals
 
-    def _score_sloppy(self, terms, plists, idfs, slop: int, sim: str = "bm25"):
-        """Sloppy phrase: greedy chain count (proximity.sloppy_phrase_freq
-        semantics) — vectorized over all candidate docs via chain_spans
-        (loop over TERMS, never over docs)."""
-        cand = plists[0][0]
-        for p in plists[1:]:
-            cand = np.intersect1d(cand, p[0], assume_unique=True)
-            if cand.size == 0:
-                return _EMPTY_I64, _EMPTY_F64
-        counts = self._phrase_counts(terms, cand, slop)
-        return self._score_freq_docs(cand, counts, terms, idfs, sim)
+        def count(chunk):
+            idoc, s, e = chain_spans([postings_intervals(p, chunk) for p in plists], minimal=False)
+            if not idoc.size:
+                return np.zeros(chunk.size, np.float64)
+            ml = (e - s) - (len(plists) - 1)
+            ok = ml <= slop
+            return np.bincount(idoc[ok], weights=1.0 / (1.0 + ml[ok]), minlength=chunk.size)
+
+        return _chunked_counts(cand, count)
 
     def _eval_phrase_pruned(self, node: QueryNode, k: int, idfs: dict[str, float]):
         """Block-max-style pruning for the PHRASE path: the candidate set
@@ -645,8 +552,8 @@ class IndexShard:
         from the tightest available freq bound (min per-doc tf across terms
         for exact phrases — phrase freq can never exceed it; the leading
         term's tf for sloppy).  Position verification — the expensive part
-        — runs only for the k best-bounded seeds and the θ-surviving docs.
-        Result-identical to exhaustive evaluation."""
+        — runs only for the k best-bounded seeds and the θ-surviving docs
+        (`_block_max`).  Result-identical to exhaustive evaluation."""
         terms, slop = node.terms, node.slop
         plists = []
         for t in terms:
@@ -671,34 +578,48 @@ class IndexShard:
             ubf = plists[0][1][np.searchsorted(plists[0][0], cand)]
         bounds = score_postings(ubf, norm_b, idf_sum, cache)
 
-        def verify(sub_idx: np.ndarray):
-            sub = cand[sub_idx]
-            counts = self._phrase_counts(terms, sub, slop)
+        def verify(idx: np.ndarray):
+            counts = self._phrase_counts(plists, cand[idx], slop)
             hit = counts > 0
-            scores = np.zeros(sub.size, dtype=np.float64)
-            if hit.any():
-                scores[hit] = score_postings(counts[hit], norm_b[sub_idx][hit], idf_sum, cache)
-            return sub, scores, hit
+            scores = np.zeros(idx.size, dtype=np.float64)
+            scores[hit] = score_postings(counts[hit], norm_b[idx][hit], idf_sum, cache)
+            return scores, hit
 
-        if cand.size <= k:
-            sub, scores, hit = verify(np.arange(cand.size))
-            return sub[hit], scores[hit]
+        idx, scores = self._block_max(bounds, k, verify)
+        return cand[idx], scores
+
+    def _block_max(self, bounds: np.ndarray, k: int, score):
+        """The block-max θ cut of both pruned evaluators (WANDScorer /
+        MaxScoreCache; Ding & Suel 2011, vectorized).  `bounds` are sound
+        per-candidate score upper bounds; `score(idx)` → (float64 scores,
+        matched mask) for sorted candidate indices.  Exact-score the k
+        best-bounded seeds, take θ from the kth seed score, exact-score only
+        the other candidates whose bound reaches θ.  → (sorted indices of
+        the matched scored candidates, their scores): result-identical to
+        scoring every candidate."""
+        if bounds.size <= k:
+            scores, hit = score(np.arange(bounds.size))
+            return np.flatnonzero(hit), scores[hit]
         top_idx = np.sort(np.argpartition(-bounds, k - 1)[:k])
-        _, seed_scores, seed_hit = verify(top_idx)
+        seed_scores, seed_hit = score(top_idx)
+        # final ranking ties are decided at float32: θ must not prune a
+        # doc whose exact score rounds to the same float32 as the kth
+        # seed (it could win the docID tie-break) — use the float32
+        # predecessor of the kth float32 seed score as the floor
         s32 = seed_scores.astype(np.float32)
         kth32 = np.partition(s32, s32.size - k)[s32.size - k]
         theta = float(np.nextafter(kth32, np.float32(-np.inf)))
         # θ ≤ every seed's exact score ≤ its bound, so the seeds survive
-        # the cut: reuse their scores, verify only the other survivors
+        # the cut: reuse their scores, exact-score only the other survivors
         keep = bounds >= theta
         keep[top_idx] = False
-        self._prune_candidates += int(cand.size)
+        self._prune_candidates += int(bounds.size)
         self._prune_survivors += int(top_idx.size) + int(keep.sum())
-        scores = np.zeros(cand.size, dtype=np.float64)
-        hit = np.zeros(cand.size, dtype=bool)
+        scores = np.zeros(bounds.size, dtype=np.float64)
+        hit = np.zeros(bounds.size, dtype=bool)
         scores[top_idx], hit[top_idx] = seed_scores, seed_hit
-        _, scores[keep], hit[keep] = verify(np.flatnonzero(keep))
-        return cand[hit], scores[hit]
+        scores[keep], hit[keep] = score(np.flatnonzero(keep))
+        return np.flatnonzero(hit), scores[hit]
 
     def _eval(self, node: QueryNode, idfs: dict[str, float], sim: str = "bm25"):
         """→ (sorted matching docs, float64 scores).  node.boost multiplies
@@ -719,9 +640,9 @@ class IndexShard:
         if node.kind == "term":
             return self._score_term(node.terms[0], idfs, sim)
         if node.kind == "phrase":
-            return self._score_phrase(node.terms, idfs, slop=node.slop, sim=sim)
+            return self._score_phrase([[t] for t in node.terms], idfs, node.slop, sim)
         if node.kind == "multi_phrase":
-            return self._score_multi_phrase(node.slots, idfs, slop=node.slop, sim=sim)
+            return self._score_phrase(node.slots, idfs, node.slop, sim)
         if node.kind == "synonym":
             return self._score_synonym(node.terms, idfs, sim)
         if node.kind == "interval":
@@ -1240,9 +1161,9 @@ class IndexShard:
         1. Candidates: ∩ MUST doc lists (∪ SHOULD lists when no MUST),
            then ∩ FILTER matches and ∖ MUST_NOT matches.  2. Per-doc upper
         bound = Σ over scored terms of the block_upper_bound of the block
-        holding the doc (0 if absent).  3. Exact-score the k best-bounded
-        docs → floor θ.  4. Docs with bound < θ cannot enter the top-k →
-        drop; exact-score the survivors only.  Result-identical to
+        holding the doc (0 if absent).  3. `_block_max`: exact-score the k
+        best-bounded docs → floor θ; docs with bound < θ cannot enter the
+        top-k → drop; exact-score the survivors only.  Result-identical to
         exhaustive evaluation (upper bounds are sound, θ is float32-safe).
         """
         metas, posts, live_terms = [], [], []
@@ -1290,29 +1211,12 @@ class IndexShard:
             add = np.zeros(docs.size, dtype=np.float64)
             add[sel] = ub[blk[sel]]
             bounds += add
-        if docs.size <= k:
-            return self._exact_scores(docs, live_terms, posts, idfs)
-        # floor θ from the k best-bounded docs
-        top_idx = np.sort(np.argpartition(-bounds, k - 1)[:k])
-        _, seed_scores = self._exact_scores(docs[top_idx], live_terms, posts, idfs)
-        # final ranking ties are decided at float32: θ must not prune a
-        # doc whose exact score rounds to the same float32 as the kth
-        # seed (it could win the docID tie-break) — use the float32
-        # predecessor of the kth float32 seed score as the floor
-        s32 = seed_scores.astype(np.float32)
-        kth32 = np.partition(s32, s32.size - k)[s32.size - k]
-        theta = float(np.nextafter(kth32, np.float32(-np.inf)))
-        # θ ≤ every seed's exact score ≤ its bound, so the seeds survive
-        # the cut: reuse their scores, exact-score only the other survivors
-        keep = bounds >= theta
-        keep[top_idx] = False
-        self._prune_candidates += int(docs.size)
-        self._prune_survivors += int(top_idx.size) + int(keep.sum())
-        scores = np.empty(docs.size, dtype=np.float64)
-        scores[top_idx] = seed_scores
-        _, scores[keep] = self._exact_scores(docs[keep], live_terms, posts, idfs)
-        keep[top_idx] = True
-        return docs[keep], scores[keep]
+
+        def exact(idx: np.ndarray):  # every candidate matches
+            return self._exact_scores(docs[idx], live_terms, posts, idfs), np.ones(idx.size, bool)
+
+        idx, scores = self._block_max(bounds, k, exact)
+        return docs[idx], scores
 
     def _exact_scores(self, docs: np.ndarray, terms: list[str], posts, idfs: dict[str, float]):
         scores = np.zeros(docs.size, dtype=np.float64)
@@ -1322,7 +1226,14 @@ class IndexShard:
             hit = pdocs[mic] == docs if pdocs.size else np.zeros(docs.size, bool)
             s = score_postings(pfreqs[mic[hit]], pnorms[mic[hit]], idfs.get(t, 0.0), self._cache_for(t))
             scores[hit] += s
-        return docs, scores
+        return scores
+
+
+def _chunked_counts(cand: np.ndarray, count) -> np.ndarray:
+    """Per-doc positional counts of `cand`, `count(chunk)` evaluated over
+    `_IV_CHUNK`-doc slices."""
+    parts = [count(cand[c0 : c0 + _IV_CHUNK]) for c0 in range(0, cand.size, _IV_CHUNK)]
+    return np.concatenate(parts) if parts else np.zeros(0, np.float64)
 
 
 def _cut_top_k(docs: np.ndarray, scores32: np.ndarray, k: int):

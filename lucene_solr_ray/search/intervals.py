@@ -350,13 +350,18 @@ def _pairwise_mask(src, ref, mode: str) -> np.ndarray:
 
 
 def term_intervals(provider, term: str, cand_docs: np.ndarray):
-    """All positions of `term` within cand_docs as (idoc, start, end) —
-    segmented gather, no per-doc loop.  `provider(term)` returns the
-    (docs, freqs, norms, positions, starts) posting tuple or None."""
+    """All positions of `term` within cand_docs as (idoc, start, end).
+    `provider(term)` returns the (docs, freqs, norms, positions, starts)
+    posting tuple or None."""
     p = provider(term)
-    if p is None:
-        return _EMPTY
-    docs, freqs, _, positions, starts = p[0], p[1], p[2], p[3], p[4]
+    return _EMPTY if p is None else postings_intervals(p, cand_docs)
+
+
+def postings_intervals(p, cand_docs: np.ndarray):
+    """All positions of one (docs, freqs, norms, positions, starts)
+    posting tuple within cand_docs as (idoc, start, end) — segmented
+    gather, no per-doc loop."""
+    docs, freqs, _, positions, starts = p
     idx = np.searchsorted(docs, cand_docs)
     idxc = np.clip(idx, 0, max(docs.size - 1, 0))
     present = docs[idxc] == cand_docs if docs.size else np.zeros(cand_docs.size, bool)

@@ -226,6 +226,14 @@ class Searcher:
         if manifest.get("status") != "committed":
             raise RuntimeError(f"index at {index_dir} is not committed")
         self.manifest = manifest
+        # query-time analyzer follows the INDEX's tokenizer (manifest
+        # config) — QueryBuilder analyzes with the field's chain, so an
+        # icu-built index parses queries with the icu chain too (None = the
+        # standard chain, parse_query's default); an unknown name fails
+        # here, before any actor starts
+        from ..analysis import index_tokenizer
+
+        self._analyzer = index_tokenizer(manifest["config"].get("tokenizer", "standard"))
         st = manifest["stats"]
         # Lazy stats: df/cf resolved per query term by binary search in
         # the memory-mapped stats sidecar — the vocabulary is NEVER
@@ -298,28 +306,6 @@ class Searcher:
             self.actors[0].set_docmap_paths(
                 sorted(p for ps in seg_by_shard.values() for p in ps)
             )
-        # query-time analyzer follows the INDEX's tokenizer (manifest
-        # config) — QueryBuilder analyzes with the field's chain, so an
-        # icu-built index parses queries with the icu chain too
-        tk = manifest["config"].get("tokenizer", "standard")
-        if tk in ("icu", "cjk"):
-            from ..analysis.icu import icu_index_tokenize
-
-            self._analyzer = icu_index_tokenize
-        elif tk == "ja":
-            from ..analysis.ja import ja_index_tokenize
-
-            self._analyzer = ja_index_tokenize
-        elif tk == "ko":
-            from ..analysis.ko import ko_index_tokenize
-
-            self._analyzer = ko_index_tokenize
-        elif tk == "zh":
-            from ..analysis.zh import zh_index_tokenize
-
-            self._analyzer = zh_index_tokenize
-        else:
-            self._analyzer = None  # standard chain (parse_query default)
         # shards.tolerant: skip dead shards instead of failing the request
         self.tolerant = False
         self.last_partial = False

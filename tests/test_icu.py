@@ -6,6 +6,7 @@ import unicodedata
 
 import numpy as np
 import pandas as pd
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -190,6 +191,16 @@ def test_icu_index_build_and_search_duel(ray_session, tmp_path):
 
         cfg = json.loads((tmp_path / "idx" / "manifest.json").read_text())["config"]
         assert cfg["tokenizer"] == "icu"
+        # one tokenizer table serves build and Searcher: an unknown name
+        # raises the same ValueError on both sides (no silent fallback)
+        with pytest.raises(ValueError, match="unknown tokenizer 'klingon'"):
+            build_index([str(corpus)], str(tmp_path / "idx2"), tokenizer="klingon")
+        mpath = tmp_path / "idx" / "manifest.json"
+        m = json.loads(mpath.read_text())
+        m["config"]["tokenizer"] = "klingon"
+        mpath.write_text(json.dumps(m))
+        with pytest.raises(ValueError, match="unknown tokenizer 'klingon'"):
+            Searcher(idx)
     finally:
         s.close()
         shutil.rmtree(idx, ignore_errors=True)

@@ -2,7 +2,7 @@
 answer covers the live subset, and `last_partial` reports degradation
 (SearchHandler partialResults semantics)."""
 
-import shutil
+import time
 
 import pytest
 
@@ -11,19 +11,34 @@ from lucene_solr_ray.index.build import build_index
 from lucene_solr_ray.search import Searcher
 
 
-def test_shards_tolerant_partial_results(ray_session):
+def _kill_and_wait(actor, timeout: float = 30.0) -> None:
+    """`ray.kill` returns before the actor is dead: poll it until a call
+    fails, so the next scatter is certain to reach a dead shard."""
     import ray
 
-    paths = write_transcripts("/tmp/lsr_tol_corpus", 80, 4)
-    shutil.rmtree("/tmp/lsr_tol_index", ignore_errors=True)
-    build_index(paths, "/tmp/lsr_tol_index", files_per_shard=2)  # 2 shards
-    s = Searcher("/tmp/lsr_tol_index")
+    ray.kill(actor)
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        try:
+            ray.get(actor.ping.remote())
+        except ray.exceptions.RayActorError:
+            return
+        time.sleep(0.05)
+    raise AssertionError(f"actor still answers {timeout}s after ray.kill")
+
+
+def test_shards_tolerant_partial_results(ray_session, tmp_path):
+    import ray
+
+    paths = write_transcripts(str(tmp_path / "corpus"), 80, 4)
+    build_index(paths, str(tmp_path / "index"), files_per_shard=2)  # 2 shards
+    s = Searcher(str(tmp_path / "index"))
     try:
         full = s.search("error", 50)
         full_count = s.count("error")
         assert full and full_count > 0
 
-        ray.kill(s.actors[0])
+        _kill_and_wait(s.actors[0])
         # default (tolerant off): the dead shard fails the request
         with pytest.raises(ray.exceptions.RayActorError):
             s.search("error", 50)
