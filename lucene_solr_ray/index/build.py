@@ -361,8 +361,9 @@ def merge_bucket(group: pa.Table, codec_name: str = "varbyte") -> pa.Table:
     `bucket = hash(term_key) % B` and this function merges a whole bucket in
     segmented numpy: one global sort by (term_key, pid), one flatten, one
     segmented delta + varbyte encode for every term at once, then per-term
-    byte-buffer slicing (a cheap memoryview loop).  Equivalent to
-    `merge_group` per term (property-tested); the analog of Lucene's
+    byte-buffer slicing (a cheap memoryview loop).  Equivalent to a
+    per-term merge (property-tested against the reference `merge_group` in
+    tests/test_merge_bucket.py); the analog of Lucene's
     SegmentMerger + Lucene84PostingsWriter running per term dictionary
     range."""
     order = pc.sort_indices(group, sort_keys=[("term_key", "ascending"), ("pid", "ascending")])
@@ -482,48 +483,6 @@ def merge_bucket(group: pa.Table, codec_name: str = "varbyte") -> pa.Table:
             "blk_last_doc": pa.ListArray.from_arrays(blk_off32, pa.array(blk_last, type=pa.int64())),
             "blk_max_freq": pa.ListArray.from_arrays(blk_off32, pa.array(blk_maxf.astype(np.int32))),
             "blk_min_norm": pa.ListArray.from_arrays(blk_off32, pa.array(blk_minn.astype(np.int32))),
-        },
-        schema=POSTINGS_SCHEMA,
-    )
-
-
-def merge_group(group: pa.Table) -> pa.Table:
-    """Merge one (term, salt) group's partials → one encoded postings row.
-
-    Partials come from disjoint, ordered docID ranges (one per pid), so the
-    merge is a pid-ordered concatenation — no k-way heap needed.  The
-    docID-sortedness is asserted (CheckIndex-style invariant, SURVEY.md §5).
-    """
-    order = pc.sort_indices(group, sort_keys=[("pid", "ascending")])
-    group = group.take(order)
-    docs = group.column("docs").combine_chunks().flatten().to_numpy(zero_copy_only=False).astype(np.int64)
-    freqs = group.column("freqs").combine_chunks().flatten().to_numpy(zero_copy_only=False).astype(np.int64)
-    norms = group.column("norms").combine_chunks().flatten().to_numpy(zero_copy_only=False).astype(np.int64)
-    positions = (
-        group.column("positions").combine_chunks().flatten().to_numpy(zero_copy_only=False).astype(np.int64)
-    )
-    if docs.size > 1 and not (np.diff(docs) > 0).all():
-        raise AssertionError(f"postings not strictly increasing for term {group.column('term')[0]}")
-    docs_b, freqs_b = codec.encode_postings(docs, freqs)
-    pos_b = codec.encode_positions(positions, freqs)
-    blk_last, blk_maxf, blk_minn = codec.block_meta(docs, freqs, norms)
-    term = group.column("term")[0].as_py()
-    salt = group.column("salt")[0].as_py()
-    return pa.table(
-        {
-            "term": pa.array([term], type=pa.string()),
-            "salt": pa.array([salt], type=pa.int32()),
-            "df": pa.array([int(docs.size)], type=pa.int64()),
-            "cf": pa.array([int(freqs.sum())], type=pa.int64()),
-            "first_doc": pa.array([int(docs[0]) if docs.size else -1], type=pa.int64()),
-            "last_doc": pa.array([int(docs[-1]) if docs.size else -1], type=pa.int64()),
-            "docs": pa.array([docs_b], type=pa.binary()),
-            "freqs": pa.array([freqs_b], type=pa.binary()),
-            "norms": pa.array([norms.astype(np.uint8).tobytes()], type=pa.binary()),
-            "positions": pa.array([pos_b], type=pa.binary()),
-            "blk_last_doc": pa.array([blk_last.tolist()], type=pa.list_(pa.int64())),
-            "blk_max_freq": pa.array([blk_maxf.tolist()], type=pa.list_(pa.int32())),
-            "blk_min_norm": pa.array([blk_minn.tolist()], type=pa.list_(pa.int32())),
         },
         schema=POSTINGS_SCHEMA,
     )

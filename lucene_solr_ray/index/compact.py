@@ -50,20 +50,18 @@ def _merge_shard_group(member_dirs: list[str], out_dir: str) -> tuple[int, int]:
             buckets.setdefault(f.name, []).append((rank, f))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    # ONE stride for the whole group, clearing every member's salt range in
+    # every bucket file (prior compactions may already have widened salts):
+    # a hot term's salted runs sit in different bucket files, so a per-file
+    # stride can give two members' runs the same salt, out of doc order
+    max_salts = [pc.max(pq.read_table(f, columns=["salt"])["salt"]).as_py() for ms in buckets.values() for _, f in ms]
+    stride = 1 + max((s for s in max_salts if s is not None), default=0)
     n_rows = 0
     n_postings = 0
     for name, members in sorted(buckets.items()):
         tables = []
-        # stride must clear every member's salt range (prior compactions
-        # may already have widened salts)
-        stride = 1
-        loaded = []
         for rank, f in members:
             t = pq.read_table(f)
-            loaded.append((rank, t))
-            if t.num_rows:
-                stride = max(stride, int(pc.max(t.column("salt")).as_py()) + 1)
-        for rank, t in loaded:
             if rank and t.num_rows:
                 salt_field = t.schema.field("salt").type
                 salts = t.column("salt").to_numpy().astype(np.int64) + rank * stride

@@ -49,16 +49,6 @@ CONTEXT_FIELD = "lang"  # AnalyzingInfixSuggester contexts source column
 MAX_CHAR = "\U0010ffff"  # exclusive-ish upper bound for prefix range reads
 
 
-def _source_fingerprint(src: str) -> str:
-    """Row count + per-file size/mtime of the source table (mirrors
-    pipelines/ann.py:_source_fingerprint)."""
-    p = Path(src)
-    files = sorted(p.rglob("*.parquet")) if p.is_dir() else [p]
-    n_rows = sum(pq.read_metadata(f).num_rows for f in files)
-    parts = [f"{f.name}:{f.stat().st_size}:{f.stat().st_mtime_ns}" for f in files]
-    return hashlib.sha1(f"{n_rows}|{'|'.join(parts)}".encode()).hexdigest()
-
-
 def _stream_sorted(ds, out_path: Path, columns: list[str]) -> int:
     """Re-assemble a sorted Dataset into one stats-bearing parquet file,
     one row group at a time (driver holds a single block, never the
@@ -88,13 +78,15 @@ def build_suggester(sf_dir: str, out_dir: str | Path | None = None, force: bool 
     import ray.data as rd
     from ray.data.aggregate import Sum
 
+    from ..pipelines.common import source_fingerprint
+
     src = f"{sf_dir}/documents.parquet"
     d = (
         Path(out_dir)
         if out_dir is not None
         else Path(f"/tmp/lsr_suggest_{hashlib.sha1(sf_dir.encode()).hexdigest()[:10]}")
     )
-    fp = _source_fingerprint(src)
+    fp = source_fingerprint(src)
     man = d / "manifest.json"
     if not force and man.exists():
         try:

@@ -35,7 +35,7 @@ import numpy as np
 import pandas as pd
 import pyarrow.parquet as pq
 
-from .common import Pipeline, read
+from .common import Pipeline, read, source_fingerprint
 
 _POP8 = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(axis=1).astype(np.uint8)
 
@@ -319,17 +319,6 @@ def _index_dir(kind: str, sf_dir: str) -> Path:
     return Path(f"/tmp/lsr_{kind}_{hashlib.sha1(sf_dir.encode()).hexdigest()[:10]}")
 
 
-def _source_fingerprint(sf_dir: str) -> str:
-    """Content fingerprint of the embeddings table (row count + per-file
-    size/mtime) — stored in the index manifest so an in-place change of the
-    source rebuilds the index instead of silently querying a stale one."""
-    p = Path(sf_dir) / "embeddings.parquet"
-    files = sorted(p.rglob("*.parquet")) if p.is_dir() else [p]
-    n_rows = sum(pq.read_metadata(f).num_rows for f in files)
-    parts = [f"{f.name}:{f.stat().st_size}:{f.stat().st_mtime_ns}" for f in files]
-    return hashlib.sha1(f"{n_rows}|{'|'.join(parts)}".encode()).hexdigest()
-
-
 def _index_is_fresh(d: Path, fp: str) -> bool:
     m = d / "manifest.json"
     if not m.exists():
@@ -375,7 +364,7 @@ def build_lsh_index(sf_dir: str, force: bool = False) -> Path:
     import ray.data as rd
 
     d = _index_dir("lsh", sf_dir)
-    fp = _source_fingerprint(sf_dir)
+    fp = source_fingerprint(Path(sf_dir) / "embeddings.parquet")
     if _index_is_fresh(d, fp) and not force:
         return d
     dim = _query_vec(sf_dir).size
@@ -471,7 +460,7 @@ def build_ivf_index(sf_dir: str, cells: int = IVF_CELLS, force: bool = False) ->
     import shutil
 
     d = _index_dir("ivf", sf_dir)
-    fp = _source_fingerprint(sf_dir)
+    fp = source_fingerprint(Path(sf_dir) / "embeddings.parquet")
     if _index_is_fresh(d, fp) and not force:
         return d
     sample_df = read(sf_dir, "embeddings", ["embedding"]).limit(2000).to_pandas()
@@ -645,7 +634,7 @@ def build_pq_index(sf_dir: str, force: bool = False) -> Path:
     import ray
 
     d = _index_dir("pq", sf_dir)
-    fp = _source_fingerprint(sf_dir)
+    fp = source_fingerprint(Path(sf_dir) / "embeddings.parquet")
     if _index_is_fresh(d, fp) and not force:
         return d
     sample_df = read(sf_dir, "embeddings", ["embedding"]).limit(4000).to_pandas()
@@ -703,7 +692,7 @@ def build_sq8_index(sf_dir: str, force: bool = False) -> Path:
     import shutil
 
     d = _index_dir("sq8", sf_dir)
-    fp = _source_fingerprint(sf_dir)
+    fp = source_fingerprint(Path(sf_dir) / "embeddings.parquet")
     if _index_is_fresh(d, fp) and not force:
         return d
     sample_df = read(sf_dir, "embeddings", ["embedding"]).limit(4000).to_pandas()
@@ -952,7 +941,7 @@ def build_hnsw_index(sf_dir: str, shards: int = 4, force: bool = False) -> Path:
     import ray
 
     d = _index_dir("hnsw", sf_dir)
-    fp = _source_fingerprint(sf_dir)
+    fp = source_fingerprint(Path(sf_dir) / "embeddings.parquet")
     if _index_is_fresh(d, fp) and not force:
         return d
     t = pq.read_table(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])

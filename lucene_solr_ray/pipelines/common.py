@@ -10,11 +10,14 @@ Raw column values (never recomputed) pass through exactly and are safe.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Any, Callable
 
 import numpy as np
 import pandas as pd
+import pyarrow.parquet as pq
 
 
 @dataclass
@@ -127,3 +130,15 @@ def hugeint_to_double(v: int) -> float:
 def ts_us(series) -> np.ndarray:
     """pandas datetime series → int64 microseconds since epoch."""
     return series.astype("datetime64[us]").astype("int64").to_numpy()
+
+
+def source_fingerprint(table_path: str | Path) -> str:
+    """Content fingerprint of a parquet table (a file, or a dir of part
+    files): row count + per-file name/size/mtime.  Persisted artifacts
+    (ANN indexes, the suggester) store it in their manifest so an in-place
+    change of the source rebuilds them instead of serving stale answers."""
+    p = Path(table_path)
+    files = sorted(p.rglob("*.parquet")) if p.is_dir() else [p]
+    n_rows = sum(pq.read_metadata(f).num_rows for f in files)
+    parts = [f"{f.name}:{f.stat().st_size}:{f.stat().st_mtime_ns}" for f in files]
+    return hashlib.sha1(f"{n_rows}|{'|'.join(parts)}".encode()).hexdigest()

@@ -28,8 +28,9 @@ decoded posting arrays:
   candidates to get a floor θ, then drop all docs whose upper bound < θ
   before exact scoring.
 
-Salted posting runs (skew handling) are concatenated in salt order at first
-touch — runs cover disjoint, increasing docID ranges by construction.
+The term dictionary is the postings table sorted ONCE at open by (term,
+shard, salt): a term's salted runs (skew handling) are contiguous rows in
+docID order — runs cover disjoint, increasing docID ranges by construction.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ import pandas as pd
 import pyarrow.parquet as pq
 
 from ..index import codec
+from ..index.build import POSTINGS_SCHEMA
 from .bm25 import (
     block_upper_bound,
     make_axiomatic_table,
@@ -83,32 +85,32 @@ class IndexShard:
         import glob
 
         import pyarrow as pa
+        import pyarrow.compute as pc
 
-        tables = []
-        row_shard: list[int] = []  # shard ordinal per row, for run ordering
-        for si, d in enumerate(sorted(shard_dirs)):
-            for f in sorted(glob.glob(f"{d}/*.parquet")):
-                t = pq.read_table(f)
-                tables.append(t)
-                row_shard.extend([si] * t.num_rows)
-        self.table = pa.concat_tables(tables) if tables else None
+        files = [(si, f) for si, d in enumerate(sorted(shard_dirs))
+                 for f in sorted(glob.glob(f"{d}/postings-*.parquet"))]
+        tables = [pq.read_table(f) for _, f in files]
+        table = pa.concat_tables(tables) if tables else POSTINGS_SCHEMA.empty_table()
+        # (term, shard, salt) order puts a term's runs in docID order: shards
+        # are contiguous doc ranges, salts contiguous pid runs within a shard
+        shard = np.repeat(np.array([si for si, _ in files], dtype=np.int32), [t.num_rows for t in tables])
+        keys = pa.table({"term": table["term"], "shard": shard, "salt": table["salt"]})
+        order = pc.sort_indices(keys, sort_keys=[(k, "ascending") for k in keys.column_names])
+        # one Array per column: a row read does not search one chunk per file
+        self._col = {name: pc.take(table[name], order).combine_chunks() for name in table.column_names}
+        runs = pc.run_end_encode(self._col["term"])
+        self._local_terms = runs.values.to_numpy(zero_copy_only=False)
+        self._run_starts = np.concatenate([[0], runs.run_ends.to_numpy()]).astype(np.int64)
+        # a term's df = Σ its runs' dfs (salted runs partition the doc space)
+        self._local_dfs = np.add.reduceat(self._col["df"].to_numpy(), self._run_starts[:-1])
+        # block-max lists flattened once: rows [lo, hi) own values[offsets[lo]:offsets[hi]]
+        blk = (self._col[c] for c in ("blk_last_doc", "blk_max_freq", "blk_min_norm"))
+        self._blk = [(a.offsets.to_numpy(), a.values.to_numpy().astype(np.int64)) for a in blk]
         self.norm_cache = norm_cache
         self._codec = codec_name
         self._avgdls = avgdls or {}
         self._dfr_tables: dict[str, np.ndarray] = {}
         self._axio_tables: dict[str, np.ndarray] = {}
-        self._rows: dict[str, list[int]] = {}
-        if self.table is not None:
-            terms = self.table.column("term").to_pylist()
-            salts = self.table.column("salt").to_pylist()
-            order: dict[str, list[tuple[int, int, int]]] = {}
-            # salted runs concatenate in (shard, salt) order → global docID
-            # order (shards are contiguous doc ranges; salts are contiguous
-            # pid runs within a shard)
-            for i, (t, s) in enumerate(zip(terms, salts)):
-                order.setdefault(t, []).append((row_shard[i], s, i))
-            self._rows = {t: [i for _, _, i in sorted(v)] for t, v in order.items()}
-            self._col = {name: self.table.column(name) for name in self.table.schema.names}
         # bounded decoded-postings cache (the filter/documentCache analog,
         # solr FastLRUCache): unbounded decode caches leak in a long-lived
         # serving actor
@@ -152,22 +154,15 @@ class IndexShard:
     # reference: prefix/fuzzy expansion, /terms and spellcheck run HERE and
     # the driver merges partials — the vocabulary never lands on one node)
     def _term_dict(self):
-        """Sorted local term array + summed local dfs (built lazily once;
-        a term's global df = Σ its per-shard dfs, since salted runs
-        partition the doc space)."""
-        if getattr(self, "_local_terms", None) is None:
-            if self.table is None:
-                self._local_terms = np.empty(0, dtype=object)
-                self._local_dfs = np.empty(0, dtype=np.int64)
-            else:
-                df_col = self.table.column("df").to_numpy()
-                terms = sorted(self._rows)
-                dfs = np.empty(len(terms), dtype=np.int64)
-                for i, t in enumerate(terms):
-                    dfs[i] = int(df_col[self._rows[t]].sum())
-                self._local_terms = np.array(terms, dtype=object)
-                self._local_dfs = dfs
+        """Sorted local term array + summed local dfs (built at open)."""
         return self._local_terms, self._local_dfs
+
+    def _run(self, term: str) -> tuple[int, int] | None:
+        """[lo, hi) rows of `term` in the sorted columns, or None if absent."""
+        i = int(np.searchsorted(self._local_terms, term))
+        if i == self._local_terms.size or self._local_terms[i] != term:
+            return None
+        return int(self._run_starts[i]), int(self._run_starts[i + 1])
 
     def _rev_dict(self):
         """Reverse-sorted companion dictionary (ReversedWildcardFilter-
@@ -260,13 +255,15 @@ class IndexShard:
 
     def prune_stats(self) -> dict:
         """Cumulative block-max pruning effectiveness (Ding & Suel-style
-        'fraction of candidates never exactly scored')."""
+        'fraction of candidates never exactly scored') + the postings-
+        and result-cache counters: `Searcher.metrics()`'s one shard call."""
         c, s = self._prune_candidates, self._prune_survivors
         return {
             "candidates": c,
             "scored": s,
             "pruned_frac": (1.0 - s / c) if c else 0.0,
             "cache": self._cache.stats(),
+            "result_cache": self._result_cache.stats(),
         }
 
     # -- postings access ---------------------------------------------------
@@ -275,11 +272,11 @@ class IndexShard:
         cached = self._cache.get(term)
         if cached is not None and (not with_positions or len(cached) == 5):
             return cached
-        rows = self._rows.get(term)
-        if not rows:
+        run = self._run(term)
+        if run is None:
             return None
         docs_l, freqs_l, norms_l, pos_l = [], [], [], []
-        for r in rows:
+        for r in range(*run):
             df = self._col["df"][r].as_py()
             docs_l.append(codec.decode_docs(self._col["docs"][r].as_py(), df, self._codec))
             fr = codec.decode_freqs(self._col["freqs"][r].as_py(), df, self._codec)
@@ -291,7 +288,7 @@ class IndexShard:
         docs = np.concatenate(docs_l)
         freqs = np.concatenate(freqs_l)
         norms = np.concatenate(norms_l)
-        positions = (np.concatenate(pos_l) if pos_l else _EMPTY_I64) if with_positions else None
+        positions = np.concatenate(pos_l) if with_positions else None
         # tombstone mask applied ONCE at decode — cached postings are
         # already live-only, so deletes cost nothing per query
         live = self._live_mask(docs)
@@ -310,13 +307,11 @@ class IndexShard:
 
     def _block_meta(self, term: str):
         """Concatenated (last_doc, max_freq, min_norm) block arrays."""
-        rows = self._rows.get(term)
-        if not rows:
+        run = self._run(term)
+        if run is None:
             return None
-        last = np.concatenate([np.asarray(self._col["blk_last_doc"][r].as_py(), dtype=np.int64) for r in rows])
-        maxf = np.concatenate([np.asarray(self._col["blk_max_freq"][r].as_py(), dtype=np.int64) for r in rows])
-        minn = np.concatenate([np.asarray(self._col["blk_min_norm"][r].as_py(), dtype=np.int64) for r in rows])
-        return last, maxf, minn
+        lo, hi = run
+        return tuple(v[o[lo] : o[hi]] for o, v in self._blk)
 
     # -- scoring -----------------------------------------------------------
     def _cache_for(self, term: str) -> np.ndarray:

@@ -477,8 +477,8 @@ class Searcher:
         handler/admin/MetricsHandler.java): per-shard result-cache and
         block-max-pruning counters aggregated across the actor pool, plus
         index-level gauges — one scatter, numbers only."""
-        rc = self._scatter("result_cache_stats")
         pr = self._scatter("prune_stats")
+        rc = [p["result_cache"] for p in pr]
         cands = sum(p["candidates"] for p in pr)
         scored = sum(p["scored"] for p in pr)
         return {

@@ -577,11 +577,16 @@ def test_join_query_score_modes(searcher, corpus, oracle):
         assert got == expected, mode
 
 
-def test_metrics(searcher, oracle):
-    """/admin/metrics analog: pool-aggregated counters + index gauges."""
+def test_metrics(searcher, oracle, monkeypatch):
+    """/admin/metrics analog: pool-aggregated counters + index gauges, from
+    one scatter."""
     searcher.search("error ok w00042", 5)
     searcher.search("error ok w00042", 5)  # second hit is cached
+    calls = []
+    scatter = searcher._scatter
+    monkeypatch.setattr(searcher, "_scatter", lambda *a, **kw: calls.append(a[0]) or scatter(*a, **kw))
     m = searcher.metrics()
+    assert calls == ["prune_stats"]
     assert m["shards"] == len(searcher.actors)
     assert m["n_docs"] == oracle.N
     rc = m["result_cache"]
