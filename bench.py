@@ -9,7 +9,7 @@ over $GRAFT_SF_DIR tables.
 Prints ONE JSON line:
   {"metric": ..., "value": <headline seconds>, "unit": "sec",
    "queries": {name: sec, ...}, "sf": ..., "num_cpus": N,
-   "build": {...}, "query_latency_ms": {...}}
+   "build": {...}, "query_latency_ms": {...}, "searcher_actors": P}
 
 --scaling: runs the same job in fresh processes at num_cpus=8 and 32 on the
 same corpus and reports throughput at both + scaling efficiency
@@ -223,6 +223,7 @@ def main() -> None:
     cand = sum(p["candidates"] for p in prune)
     scored = sum(p["scored"] for p in prune)
     pruned_frac = round(1.0 - scored / cand, 4) if cand else 0.0
+    searcher_actors = len(searcher.actors)  # the serving pool's size
 
     # ---- operator suite over the sf tables ------------------------------
     searcher.close()  # actors hold CPU slots; free them for the suite jobs
@@ -270,6 +271,7 @@ def main() -> None:
             "p99_cold": round(p99_cold, 2),
         },
         "blockmax_pruned_frac": pruned_frac,
+        "searcher_actors": searcher_actors,
     }
     ray.shutdown()
     print(json.dumps(out))

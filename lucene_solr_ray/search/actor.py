@@ -68,8 +68,8 @@ class IndexShard:
         avgdls: dict[str, float] | None = None,
     ):
         """`shard_dirs` may be one dir or several — an actor owns one or
-        more term-shards (the pool is sized to the cluster, so on small
-        clusters each actor serves multiple shards).
+        more term-shards (the Searcher sizes its pool to the index, so a
+        small index is one actor over all of its shards).
 
         `norm_cache` is the text-field 256-entry BM25 cache, or a dict
         {"": text_cache, field: field_cache} when extra analyzed fields
@@ -101,6 +101,20 @@ class IndexShard:
         runs = pc.run_end_encode(self._col["term"])
         self._local_terms = runs.values.to_numpy(zero_copy_only=False)
         self._run_starts = np.concatenate([[0], runs.run_ends.to_numpy()]).astype(np.int64)
+        # each run of a term must start past the previous run's last doc; an
+        # index compacted with the old per-bucket salt stride breaks this
+        cont = np.ones(table.num_rows, dtype=bool)  # row continues its term
+        cont[self._run_starts[:-1]] = False
+        first, last = self._col["first_doc"].to_numpy(), self._col["last_doc"].to_numpy()
+        bad = np.flatnonzero(cont[1:] & (first[1:] <= last[:-1]))
+        if bad.size:
+            row = int(bad[0]) + 1
+            d = sorted(shard_dirs)[shard[order[row].as_py()]]
+            raise RuntimeError(
+                f"postings of term {self._col['term'][row].as_py()!r} in {d} are out of "
+                "docID order (salted runs collide, as in an index compacted by an older version); "
+                "rebuild the index"
+            )
         # a term's df = Σ its runs' dfs (salted runs partition the doc space)
         self._local_dfs = np.add.reduceat(self._col["df"].to_numpy(), self._run_starts[:-1])
         # block-max lists flattened once: rows [lo, hi) own values[offsets[lo]:offsets[hi]]

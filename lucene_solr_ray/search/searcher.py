@@ -64,6 +64,20 @@ class _Collect(NamedTuple):
 
 _COUNT = _Collect(("count_matches",), sum, 0)  # numFound
 
+# Docs one shard actor serves before the default pool adds another: the
+# IndexSearcher.slices analog (MAX_DOCS_PER_SLICE).  A scatter to P actors
+# costs P Ray calls of fixed CPU, so an index small enough for one actor
+# to answer within the wider pool's p99 is served by one.  Set from a
+# sweep of perfbench corpora (CHANGES.md, ROADMAP direction 5).
+DOCS_PER_ACTOR = 70_000
+
+
+def default_pool_size(n_docs: int, n_shards: int, cpus: int) -> int:
+    """Shard actors `Searcher` starts when `num_actors` is not given: one
+    per DOCS_PER_ACTOR docs, never more than the shards or the cluster's
+    CPUs, at least one."""
+    return max(1, min(n_shards, cpus, -(-n_docs // DOCS_PER_ACTOR)))
+
 
 def _facet_field_collector(field: str, limit: int, missing: bool, sort: str) -> _Collect:
     """facet.field: shard value→count partials summed, ranked (count desc,
@@ -220,6 +234,15 @@ def _top_k_collector(spec: tuple, k: int) -> _Collect:
 
 
 class Searcher:
+    """A committed index served by a pool of `IndexShard` actors, each a
+    contiguous slice of its term-shards in docID order.  The default pool
+    is sized to the index, not the cluster (`default_pool_size`): one
+    actor per DOCS_PER_ACTOR docs, as Lucene's `IndexSearcher.slices`
+    lets small leaves share one slice, because every actor adds one Ray
+    call of fixed CPU to each request.  `num_actors` overrides it;
+    `use_ray=False` serves every shard from one in-process IndexShard.
+    `close()` frees the pool, after which every request raises."""
+
     def __init__(self, index_dir: str | Path, num_actors: int | None = None, use_ray: bool = True):
         self.index_dir = Path(index_dir)
         manifest = json.loads((self.index_dir / "manifest.json").read_text())
@@ -270,12 +293,13 @@ class Searcher:
         if use_ray:
             import ray
 
-            # pool sized to the cluster: never request more 1-CPU actors
-            # than the cluster can schedule; each actor then owns a
-            # contiguous slice of shards (doc ranges stay ordered)
+            # pool sized to the index, as IndexSearcher.slices lets small
+            # leaves share a slice, and never more 1-CPU actors than the
+            # cluster can schedule; each actor owns a contiguous slice of
+            # shards (doc ranges stay ordered)
             if num_actors is None:
                 cpus = int(ray.cluster_resources().get("CPU", 1))
-                num_actors = max(1, min(len(self.shard_dirs), cpus))
+                num_actors = default_pool_size(int(st["N"]), len(self.shard_dirs), cpus)
             assign: list[list[str]] = [[] for _ in range(num_actors)]
             assign_ids: list[list[int]] = [[] for _ in range(num_actors)]
             for i, d in enumerate(self.shard_dirs):
@@ -332,7 +356,10 @@ class Searcher:
         actor is SKIPPED instead of failing the request, and
         `self.last_partial` records that the answer covers a subset of the
         index — every scatter-based operation (search, count, terms,
-        facets, spellcheck) inherits the behavior."""
+        facets, spellcheck) inherits the behavior.  A closed Searcher has
+        no actors and raises instead of answering empty."""
+        if not self.actors:
+            raise RuntimeError("Searcher is closed")
         if self.use_ray:
             import ray
 
@@ -482,7 +509,8 @@ class Searcher:
         cands = sum(p["candidates"] for p in pr)
         scored = sum(p["scored"] for p in pr)
         return {
-            "shards": len(self.actors),
+            "shards": len(self.shard_dirs),
+            "actors": len(self.actors),
             "n_docs": int(self.stats.N),
             "tombstones": int(self._tombstones.size),
             "result_cache": {
@@ -1143,14 +1171,7 @@ class Searcher:
 
     def _push_tombstones(self) -> None:
         """Install the dead set on every actor (each masks at decode)."""
-        dead = self._tombstones
-        if self.use_ray:
-            import ray
-
-            ray.get([a.set_tombstones.remote(dead) for a in self.actors])
-        else:
-            for a in self.actors:
-                a.set_tombstones(dead)
+        self._scatter("set_tombstones", self._tombstones)
 
     def delete_by_query(self, query: str) -> int:
         """Mark matching docs deleted (live-docs bitset analog: deletes are
@@ -1189,13 +1210,13 @@ class Searcher:
     def close(self) -> None:
         """Release the actor pool (each actor holds a CPU slot while the
         searcher is open — close before running other Ray work on a small
-        cluster)."""
-        if self.use_ray and self.actors:
+        cluster).  Every later request raises."""
+        if self.use_ray:
             import ray
 
             for a in self.actors:
                 ray.kill(a)
-            self.actors = []
+        self.actors = []
 
     def search(
         self, query: str, k: int = 10, prune: bool = True, similarity: str = "bm25"

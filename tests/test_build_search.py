@@ -65,7 +65,8 @@ def oracle(corpus):
 
 @pytest.fixture(scope="module")
 def searcher(ray_session, index):
-    s = Searcher(INDEX_DIR)
+    # one actor per shard: every merge below runs across actors
+    s = Searcher(INDEX_DIR, num_actors=N_FILES // FILES_PER_SHARD)
     yield s
     s.close()  # release actor CPU slots for later Ray Data tests
 
@@ -587,7 +588,8 @@ def test_metrics(searcher, oracle, monkeypatch):
     monkeypatch.setattr(searcher, "_scatter", lambda *a, **kw: calls.append(a[0]) or scatter(*a, **kw))
     m = searcher.metrics()
     assert calls == ["prune_stats"]
-    assert m["shards"] == len(searcher.actors)
+    assert m["shards"] == N_FILES // FILES_PER_SHARD
+    assert m["actors"] == len(searcher.actors) == N_FILES // FILES_PER_SHARD
     assert m["n_docs"] == oracle.N
     rc = m["result_cache"]
     assert rc["hits"] >= 1 and rc["misses"] >= 1

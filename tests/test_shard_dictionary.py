@@ -11,6 +11,8 @@ import shutil
 from pathlib import Path
 
 import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import pytest
 
@@ -78,3 +80,35 @@ def test_dictionary_across_dirs(indexes, kind):
     for absent in ("", terms[0][:-1], terms[0] + "\x00", terms[-1] + "z"):
         assert whole._postings(absent, with_positions=True) is None
         assert whole._block_meta(absent) is None
+
+
+def _runs(d, term):
+    """(first_doc, salt, file) of each run of `term` in shard dir `d`."""
+    out = []
+    for f in sorted(glob.glob(f"{d}/postings-*.parquet")):
+        t = pq.read_table(f, columns=["term", "first_doc", "salt"]).filter(pc.field("term") == term)
+        out += [(fd, s, f) for fd, s in zip(t["first_doc"].to_pylist(), t["salt"].to_pylist())]
+    return sorted(out)
+
+
+def test_colliding_salts_fail_at_open(indexes, tmp_path):
+    """An index compacted with the old per-bucket salt stride holds two
+    salted runs of one term under the same salt, so the (term, shard, salt)
+    sort can put a later run first.  Opening such a dir raises and names
+    it; the valid compacted index opens."""
+    hot, dirs = _shard_dirs(indexes["compacted"])
+    IndexShard(dirs, None)
+    shutil.copytree(indexes["compacted"], tmp_path / "idx")
+    _, bad_dirs = _shard_dirs(tmp_path / "idx")
+    d, term, runs = next((d, t, r) for d in bad_dirs for t in hot if len(r := _runs(d, t)) >= 3)
+    # the last run takes the first run's salt: whichever of the two sorts
+    # first, some run now starts at or before its predecessor's last doc
+    (_, first_salt, _), (last_first_doc, _, f) = runs[0], runs[-1]
+    t = pq.read_table(f)
+    hit = pc.and_(pc.equal(t["term"], term), pc.equal(t["first_doc"], last_first_doc))
+    i = t.schema.get_field_index("salt")
+    salt = pc.if_else(hit, pa.scalar(first_salt, t.schema.field(i).type), t["salt"])
+    pq.write_table(t.set_column(i, t.schema.field(i), salt), f)
+    for opened in (bad_dirs, d):
+        with pytest.raises(RuntimeError, match=f"{os.path.basename(d)} are out of docID order.*rebuild"):
+            IndexShard(opened, None)

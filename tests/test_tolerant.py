@@ -32,7 +32,7 @@ def test_shards_tolerant_partial_results(ray_session, tmp_path):
 
     paths = write_transcripts(str(tmp_path / "corpus"), 80, 4)
     build_index(paths, str(tmp_path / "index"), files_per_shard=2)  # 2 shards
-    s = Searcher(str(tmp_path / "index"))
+    s = Searcher(str(tmp_path / "index"), num_actors=2)  # one actor dies, one answers
     try:
         full = s.search("error", 50)
         full_count = s.count("error")
@@ -75,7 +75,7 @@ def test_tolerant_select_answers_from_one_live_subset(ray_session, tmp_path):
 
     paths = write_transcripts(str(tmp_path / "corpus"), 80, 4)
     build_index(paths, str(tmp_path / "index"), files_per_shard=2)  # 2 shards
-    s = Searcher(str(tmp_path / "index"))
+    s = Searcher(str(tmp_path / "index"), num_actors=2)  # one actor dies, one answers
     scatter, killed = s._scatter, []
 
     def scatter_then_kill(method, *args):
