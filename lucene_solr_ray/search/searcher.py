@@ -64,19 +64,20 @@ class _Collect(NamedTuple):
 
 _COUNT = _Collect(("count_matches",), sum, 0)  # numFound
 
-# Docs one shard actor serves before the default pool adds another: the
-# IndexSearcher.slices analog (MAX_DOCS_PER_SLICE).  A scatter to P actors
-# costs P Ray calls of fixed CPU, so an index small enough for one actor
-# to answer within the wider pool's p99 is served by one.  Set from a
-# sweep of perfbench corpora (CHANGES.md, ROADMAP direction 5).
+# Docs one shard actor serves alone: the IndexSearcher.slices analog
+# (MAX_DOCS_PER_SLICE).  A scatter to P actors costs P Ray calls of fixed
+# CPU, so an index small enough for one actor to answer within the wider
+# pool's p99 is served by one; a larger index gets the full pool, because
+# in the sweep a 2-actor pool's p99 was worse than the full pool's.  Set
+# from a sweep of perfbench corpora (CHANGES.md, ROADMAP direction 5).
 DOCS_PER_ACTOR = 70_000
 
 
 def default_pool_size(n_docs: int, n_shards: int, cpus: int) -> int:
     """Shard actors `Searcher` starts when `num_actors` is not given: one
-    per DOCS_PER_ACTOR docs, never more than the shards or the cluster's
+    up to DOCS_PER_ACTOR docs, else one per shard up to the cluster's
     CPUs, at least one."""
-    return max(1, min(n_shards, cpus, -(-n_docs // DOCS_PER_ACTOR)))
+    return 1 if n_docs <= DOCS_PER_ACTOR else max(1, min(n_shards, cpus))
 
 
 def _facet_field_collector(field: str, limit: int, missing: bool, sort: str) -> _Collect:
@@ -236,12 +237,15 @@ def _top_k_collector(spec: tuple, k: int) -> _Collect:
 class Searcher:
     """A committed index served by a pool of `IndexShard` actors, each a
     contiguous slice of its term-shards in docID order.  The default pool
-    is sized to the index, not the cluster (`default_pool_size`): one
-    actor per DOCS_PER_ACTOR docs, as Lucene's `IndexSearcher.slices`
-    lets small leaves share one slice, because every actor adds one Ray
-    call of fixed CPU to each request.  `num_actors` overrides it;
-    `use_ray=False` serves every shard from one in-process IndexShard.
-    `close()` frees the pool, after which every request raises."""
+    is sized to the index (`default_pool_size`): one actor up to
+    DOCS_PER_ACTOR docs, as Lucene's `IndexSearcher.slices` lets small
+    leaves share one slice, because every actor adds one Ray call of
+    fixed CPU to each request; above it, one actor per shard up to the
+    cluster's CPUs.  One actor cannot give `tolerant` partial results,
+    so a small index that must survive an actor's death passes
+    `num_actors`.  `use_ray=False` serves every shard from one
+    in-process IndexShard.  `close()` frees the pool, after which every
+    request raises."""
 
     def __init__(self, index_dir: str | Path, num_actors: int | None = None, use_ray: bool = True):
         self.index_dir = Path(index_dir)
@@ -294,9 +298,10 @@ class Searcher:
             import ray
 
             # pool sized to the index, as IndexSearcher.slices lets small
-            # leaves share a slice, and never more 1-CPU actors than the
-            # cluster can schedule; each actor owns a contiguous slice of
-            # shards (doc ranges stay ordered)
+            # leaves share a slice: one actor for a small index, else
+            # never more 1-CPU actors than shards or than the cluster can
+            # schedule; each actor owns a contiguous slice of shards (doc
+            # ranges stay ordered)
             if num_actors is None:
                 cpus = int(ray.cluster_resources().get("CPU", 1))
                 num_actors = default_pool_size(int(st["N"]), len(self.shard_dirs), cpus)

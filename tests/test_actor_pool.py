@@ -1,6 +1,9 @@
 """The shard-actor pool: its default size follows the index's documents
-(one actor per DOCS_PER_ACTOR docs, capped by shards and CPUs), every pool
-size gives the same answers, and a closed Searcher raises."""
+(one actor up to DOCS_PER_ACTOR docs, else one per shard capped by the
+CPUs), every pool size gives the same answers and applies the same
+deletes and doc-values updates, and a closed Searcher raises."""
+
+import shutil
 
 import pytest
 
@@ -25,9 +28,10 @@ def index(ray_session, tmp_path_factory):
     [
         (0, 4, 4, 1),  # an empty index still gets one actor
         (DOCS_PER_ACTOR, 4, 4, 1),
-        (DOCS_PER_ACTOR + 1, 4, 4, 2),
-        (10 * DOCS_PER_ACTOR, 8, 3, 3),  # capped by the CPUs
-        (10 * DOCS_PER_ACTOR, 2, 8, 2),  # capped by the shards
+        (DOCS_PER_ACTOR + 1, 4, 4, 4),  # past one actor: the full pool
+        (DOCS_PER_ACTOR + 1, 8, 3, 3),  # capped by the CPUs
+        (DOCS_PER_ACTOR + 1, 2, 8, 2),  # capped by the shards
+        (10 * DOCS_PER_ACTOR, 8, 3, 3),
         (DOCS_PER_ACTOR + 1, 0, 4, 1),
     ],
 )
@@ -77,6 +81,31 @@ def test_pool_size_does_not_change_answers(index):
     for call, a, b in zip(CALLS, one, wide):
         assert repr(a) == repr(b), call
     assert any(one)
+
+
+def _writes(index, tmp_path, num_actors):
+    """Deletes and dv updates on a copy of the index (both write to it):
+    every actor must mask and patch exactly the docs it owns."""
+    idx = str(tmp_path / f"pool{num_actors}")
+    shutil.copytree(index, idx)
+    s = Searcher(idx, num_actors=num_actors)
+    try:
+        docs = range(0, s.stats.N, 7)  # spread over every shard
+        out = [s.delete_by_query("#role:tool"), s.delete_by_query("#role:tool"),
+               s.search("error ok", 10), s.count("error"),
+               s.update_numeric_docvalues("turn_idx", {d: 1000.0 + d for d in docs}),
+               s.search_sorted("error", "turn_idx desc", 5), s.stats_field("error", "turn_idx")]
+        assert out[4] == len(docs)  # each doc patched once, by its owner
+        s.clear_deletes()
+        return out + [s.search("error ok", 10), s.search_sorted("error", "turn_idx desc", 5)]
+    finally:
+        s.close()
+
+
+def test_pool_size_does_not_change_writes(index, tmp_path):
+    one, wide = _writes(index, tmp_path, 1), _writes(index, tmp_path, N_SHARDS)
+    assert repr(one) == repr(wide)
+    assert wide[0] > 0 and wide[1] == 0  # deleted, then nothing new
 
 
 @pytest.mark.parametrize("use_ray", [True, False])

@@ -30,7 +30,7 @@ def ctx(ray_session):
         fields={"role": full.column("role").to_pylist(), "tool": full.column("tool").to_pylist()},
     )
     convs = full.column("conv_id").to_pylist()
-    s = Searcher("/tmp/lsr_bj_index")
+    s = Searcher("/tmp/lsr_bj_index", num_actors=2)  # parents aggregated on each actor, merged
     yield s, oracle, convs
     s.close()
 

@@ -204,7 +204,7 @@ def test_prune_fires_for_conjunctions(ray_session, index):
     (WANDScorer coverage, not just pure disjunctions)."""
     import ray
 
-    s2 = Searcher(INDEX_DIR)
+    s2 = Searcher(INDEX_DIR, num_actors=N_FILES // FILES_PER_SHARD)  # per-actor counters
     try:
         base = sum(ray.get(a.prune_stats.remote())["candidates"] for a in s2.actors)
         # a common MUST term + varied SHOULDs: candidate bounds differ by
@@ -484,7 +484,7 @@ def test_join_query_cross_index(searcher, corpus, oracle):
         full2.column("text").to_pylist(),
         fields={"role": full2.column("role").to_pylist(), "tool": full2.column("tool").to_pylist()},
     )
-    other = Searcher("/tmp/lsr_xidx_index")
+    other = Searcher("/tmp/lsr_xidx_index", num_actors=2)  # from-side merged across actors
     try:
         tools2 = full2.column("tool").to_pylist()
         sub_docs = [d for d, _ in oracle2.search("+error +ok", 10**9)]
@@ -689,7 +689,7 @@ def test_query_result_cache(ray_session, index, tmp_path):
 
     idx = str(tmp_path / "idx")
     shutil.copytree(INDEX_DIR, idx)
-    s2 = Searcher(idx)
+    s2 = Searcher(idx, num_actors=N_FILES // FILES_PER_SHARD)  # one cache per actor
 
     def cache():
         st = ray.get([a.result_cache_stats.remote() for a in s2.actors])

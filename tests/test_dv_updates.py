@@ -6,7 +6,17 @@ import numpy as np
 import pytest
 
 from lucene_solr_ray.search import Searcher
-from tests.test_build_search import INDEX_DIR, corpus, index, oracle, searcher  # noqa: F401
+from tests.test_build_search import (  # noqa: F401
+    FILES_PER_SHARD,
+    INDEX_DIR,
+    N_FILES,
+    corpus,
+    index,
+    oracle,
+    searcher,
+)
+
+POOL = N_FILES // FILES_PER_SHARD  # one actor per shard: updates patch across actors
 
 
 def test_dv_update_views_and_persistence(ray_session, index, corpus, tmp_path):
@@ -14,7 +24,7 @@ def test_dv_update_views_and_persistence(ray_session, index, corpus, tmp_path):
 
     idx = str(tmp_path / "idx")
     shutil.copytree(INDEX_DIR, idx)
-    s = Searcher(idx)
+    s = Searcher(idx, num_actors=POOL)
     try:
         hits = s.search("tool output", 5)
         docs = [d for d, _ in hits]
@@ -41,7 +51,7 @@ def test_dv_update_views_and_persistence(ray_session, index, corpus, tmp_path):
     finally:
         s.close()
     # persistence: a FRESH Searcher (cold caches) reads the sidecars
-    s2 = Searcher(idx)
+    s2 = Searcher(idx, num_actors=POOL)
     try:
         assert s2.stats_field("tool output", "turn_idx")["max"] == 5000
         t = s2.search_sorted("tool output", "turn_idx desc", 1)
@@ -63,7 +73,7 @@ def test_dv_updates_survive_compaction(ray_session, tmp_path):
     paths = write_transcripts(str(tmp_path / "corpus"), 120, 6)
     idx = str(tmp_path / "idx")
     build_index(paths, idx, files_per_shard=1)  # 6 shards → compactable
-    s = Searcher(idx)
+    s = Searcher(idx, num_actors=4)  # 4 of the 6 shards' actors fit the session
     try:
         docs = [d for d, _ in s.search("assistant", 3)]
         s.update_numeric_docvalues("turn_idx", {d: 700 + i for i, d in enumerate(docs)})
@@ -71,7 +81,7 @@ def test_dv_updates_survive_compaction(ray_session, tmp_path):
     finally:
         s.close()
     compact_index(idx, max_shards=2)
-    s2 = Searcher(idx)
+    s2 = Searcher(idx, num_actors=2)
     try:
         assert s2.search_sorted("assistant", "turn_idx desc", 3) == before
         assert s2.stats_field("assistant", "turn_idx")["max"] == 700 + len(docs) - 1
@@ -88,7 +98,7 @@ def test_dv_update_invalidates_result_cache(ray_session, index, tmp_path):  # no
     idx = str(tmp_path / "idx")
     shutil.copytree(INDEX_DIR, idx)
     queries = ["tool", "output", "error"]
-    s = Searcher(idx)
+    s = Searcher(idx, num_actors=POOL)
     try:
         before = s.search_covering(queries, "turn_idx", 5)
         assert before
@@ -96,7 +106,7 @@ def test_dv_update_invalidates_result_cache(ray_session, index, tmp_path):  # no
         after = s.search_covering(queries, "turn_idx", 5)
     finally:
         s.close()
-    fresh = Searcher(idx)
+    fresh = Searcher(idx, num_actors=POOL)
     try:
         assert after == fresh.search_covering(queries, "turn_idx", 5) != before
     finally:

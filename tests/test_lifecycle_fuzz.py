@@ -4,6 +4,9 @@ against a brute-force model after every step (live-docs semantics: term
 stats stay pinned at the commit, deletes mask at read; dv views reflect
 the latest sidecars; compaction preserves both)."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
@@ -13,6 +16,15 @@ from lucene_solr_ray.index import build_index
 from lucene_solr_ray.index.compact import compact_index
 from lucene_solr_ray.oracle import BruteForceIndex
 from lucene_solr_ray.search import Searcher
+
+
+def _open(idx):
+    """One actor per shard, up to the session's CPUs: deletes and dv
+    updates land on several actors, at every compaction."""
+    import ray
+
+    shards = json.loads((Path(idx) / "manifest.json").read_text())["shards"]
+    return Searcher(idx, num_actors=min(len(shards), int(ray.cluster_resources()["CPU"])))
 
 
 def test_lifecycle_fuzz(ray_session, tmp_path):
@@ -54,7 +66,7 @@ def test_lifecycle_fuzz(ray_session, tmp_path):
         assert [d for d, _ in got] == order, q
         assert [v for _, v in got] == [turn[d] for d in order], q
 
-    s = Searcher(idx)
+    s = _open(idx)
     try:
         check(s)
         for step in range(8):
@@ -75,7 +87,7 @@ def test_lifecycle_fuzz(ray_session, tmp_path):
             else:
                 s.close()
                 compact_index(idx, max_shards=rng.choice([2, 3]))
-                s = Searcher(idx)
+                s = _open(idx)
             check(s)
     finally:
         s.close()
