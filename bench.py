@@ -179,7 +179,7 @@ def main() -> None:
             shutil.rmtree(INDEX_DIR)
         t0 = time.monotonic()
         manifest = build_index(
-            paths, INDEX_DIR, files_per_shard=max(1, N_FILES // 8), n_salts=4,
+            paths, INDEX_DIR, files_per_shard=max(1, N_FILES // 8),
             max_concurrent_shards=8, resume=False,
         )
         rep_secs.append(time.monotonic() - t0)

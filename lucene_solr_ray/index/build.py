@@ -22,11 +22,12 @@ Physical design (SURVEY.md §7.0, designed for 100 TB / multi-node):
   read → invert → groupby(term_key) → merge → write pipeline and is the unit
   of RESUME (manifest).  Query serving fans out over shards (docID ranges are
   contiguous per shard) — the SolrCloud shard model.
-- Skew: hot terms (sampled df above `hot_df_frac`) get SALTED keys — the
+- Skew: hot terms (sampled df above `HOT_DF_FRAC`) get SALTED keys — the
   salt is derived from the pid's position within the shard so each salted
-  run covers a contiguous, disjoint docID range; runs concatenate in salt
-  order into a fully sorted posting list (BASELINE: explicit salted-key skew
-  handling).
+  run covers a contiguous, disjoint docID range (BASELINE: explicit
+  salted-key skew handling).  The salt is a shuffle key of this module
+  only: readers and compaction order a term's runs by `first_doc`, so the
+  runs concatenate into a fully sorted posting list.
 - Postings row (per term[, salt]): delta+varbyte docIDs, varbyte freqs, raw
   norm bytes, varbyte delta positions, and per-128-doc-block
   (last_doc, max_freq, min_norm) block-max metadata.
@@ -59,6 +60,8 @@ from .stats_sidecar import SCHEMA as STATS_SCHEMA, sidecar_path, write_stats_sid
 
 SALT_SEP = "\x01"
 N_BUCKETS = 32  # reduce-side hash-shuffle width per shard
+N_SALTS = 4  # salted runs per hot term per shard (at most one per file)
+HOT_DF_FRAC = 0.02  # sampled df fraction at which a term is salted
 
 PARTIAL_SCHEMA = pa.schema(
     [
@@ -117,7 +120,7 @@ def plan_files(input_paths: list[str]) -> list[FileSpec]:
     return specs
 
 
-def sample_hot_terms(paths: list[str], hot_df_frac: float = 0.02, sample_docs: int = 4000) -> list[str]:
+def sample_hot_terms(paths: list[str], sample_docs: int = 4000) -> list[str]:
     """One cheap sample pass → terms whose estimated df fraction is hot.
 
     Reads the first row-group of up to 4 spread-out files.  The returned set
@@ -146,7 +149,7 @@ def sample_hot_terms(paths: list[str], hot_df_frac: float = 0.02, sample_docs: i
                         hot_kw.add(f"{k}:{v}")
     if n == 0:
         return []
-    return sorted({t for t, c in df_counts.items() if c / n >= hot_df_frac} | hot_kw)
+    return sorted({t for t, c in df_counts.items() if c / n >= HOT_DF_FRAC} | hot_kw)
 
 
 KEYWORD_FIELDS = ("role", "tool")
@@ -488,9 +491,9 @@ def merge_bucket(group: pa.Table, codec_name: str = "varbyte") -> pa.Table:
     )
 
 
-def _config_fingerprint(specs: list[FileSpec], files_per_shard: int, n_salts: int) -> str:
+def _config_fingerprint(specs: list[FileSpec], files_per_shard: int) -> str:
     payload = json.dumps(
-        [[s.path, s.rows] for s in specs] + [files_per_shard, n_salts], sort_keys=True
+        [[s.path, s.rows] for s in specs] + [files_per_shard, N_SALTS], sort_keys=True
     ).encode()
     return hashlib.sha256(payload).hexdigest()[:16]
 
@@ -500,8 +503,6 @@ def build_index(
     index_dir: str | Path,
     *,
     files_per_shard: int = 8,
-    n_salts: int = 4,
-    hot_df_frac: float = 0.02,
     resume: bool = True,
     max_concurrent_shards: int = 4,
     fail_after_shards: int | None = None,
@@ -535,7 +536,7 @@ def build_index(
     analyzed_fields = tuple(analyzed_fields)
     keyword_fields = tuple(keyword_fields)
     fp = (
-        _config_fingerprint(specs, files_per_shard, n_salts)
+        _config_fingerprint(specs, files_per_shard)
         + f":{analyzer_id}:{tokenizer}:{','.join(analyzed_fields)}:{','.join(keyword_fields)}:{codec}"
     )
 
@@ -551,7 +552,7 @@ def build_index(
         new_inputs = [[s.path, s.rows, s.base] for s in specs]
         if (
             cfg.get("files_per_shard") == files_per_shard
-            and cfg.get("n_salts") == n_salts
+            and cfg.get("n_salts") == N_SALTS
             and cfg.get("codec", "varbyte") == codec
             # the ANALYSIS config must match too — appending with a different
             # analyzer/schema would silently mix term spaces
@@ -604,7 +605,7 @@ def build_index(
         manifest.data["config"] = {
             "fingerprint": fp,
             "files_per_shard": files_per_shard,
-            "n_salts": n_salts,
+            "n_salts": N_SALTS,
             "n_files": len(specs),
             "inputs": [[s.path, s.rows, s.base] for s in specs],
             "codec": codec,
@@ -624,7 +625,7 @@ def build_index(
         write_stats_sidecar(index_dir / st.get("stats_file", "global_stats.parquet"))
         return manifest
 
-    hot_terms = sample_hot_terms([s.path for s in specs], hot_df_frac=hot_df_frac)
+    hot_terms = sample_hot_terms([s.path for s in specs])
     manifest.data["config"]["hot_terms"] = hot_terms
     manifest.save()
 
@@ -638,7 +639,7 @@ def build_index(
     done_count = 0
 
     def salt_of(local_idx: int, shard_len: int) -> int:
-        runs = min(n_salts, shard_len)
+        runs = min(N_SALTS, shard_len)
         return (local_idx * runs) // shard_len
 
     import ray

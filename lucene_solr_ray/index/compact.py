@@ -9,11 +9,10 @@ TieredMergePolicy + SegmentMerger do for Lucene's segment tail
 SegmentMerger.java — SURVEY.md §3.1 publish+merge).
 
 Merging is CHEAP here because shards cover disjoint, increasing docID
-ranges: a term's merged posting is just its per-shard rows concatenated in
-shard order.  Rows keep their encoded payloads untouched; only the `salt`
-run-ordering key is remapped (`new_salt = shard_rank · stride + old_salt`)
-so the serving actor's (salt asc) run ordering still reproduces global
-docID order inside the merged shard.
+ranges: each merged bucket file is its members' rows concatenated in shard
+order, every row (encoded payloads included) untouched.  Nothing is
+re-keyed or re-sorted: the serving actor orders a term's runs by their
+`first_doc` (SegmentMerger's docID order), which needs no per-shard label.
 
 Crash safety (kill-and-rerun): the merged shard set is written into a NEW
 generation directory (`shards_genNNN/`); the manifest — the commit point —
@@ -30,7 +29,6 @@ import shutil
 import time
 from pathlib import Path
 
-import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
@@ -41,41 +39,19 @@ from .manifest import Manifest
 def _merge_shard_group(member_dirs: list[str], out_dir: str) -> tuple[int, int]:
     """Merge one group of adjacent shards into `out_dir`.
 
-    For every bucket file present in any member: read member tables in
-    shard order, remap `salt` to preserve run order across former shards,
-    concat, and write one merged bucket file.  → (n_rows, n_postings)."""
-    buckets: dict[str, list[tuple[int, Path]]] = {}
-    for rank, d in enumerate(member_dirs):
+    For every bucket file present in any member: concatenate the member
+    files in shard order and write one merged bucket file.
+    → (n_rows, n_postings)."""
+    buckets: dict[str, list[Path]] = {}
+    for d in member_dirs:
         for f in sorted(Path(d).glob("postings-*.parquet")):
-            buckets.setdefault(f.name, []).append((rank, f))
+            buckets.setdefault(f.name, []).append(f)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    # ONE stride for the whole group, clearing every member's salt range in
-    # every bucket file (prior compactions may already have widened salts):
-    # a hot term's salted runs sit in different bucket files, so a per-file
-    # stride can give two members' runs the same salt, out of doc order
-    max_salts = [pc.max(pq.read_table(f, columns=["salt"])["salt"]).as_py() for ms in buckets.values() for _, f in ms]
-    stride = 1 + max((s for s in max_salts if s is not None), default=0)
     n_rows = 0
     n_postings = 0
     for name, members in sorted(buckets.items()):
-        tables = []
-        for rank, f in members:
-            t = pq.read_table(f)
-            if rank and t.num_rows:
-                salt_field = t.schema.field("salt").type
-                salts = t.column("salt").to_numpy().astype(np.int64) + rank * stride
-                t = t.set_column(
-                    t.schema.get_field_index("salt"),
-                    "salt",
-                    pa.array(salts).cast(salt_field),
-                )
-            tables.append(t)
-        merged = pa.concat_tables(tables)
-        order = pc.sort_indices(
-            merged, sort_keys=[("term", "ascending"), ("salt", "ascending")]
-        )
-        merged = merged.take(order)
+        merged = pa.concat_tables([pq.read_table(f) for f in members])
         pq.write_table(merged, out / name)
         n_rows += merged.num_rows
         n_postings += int(pc.sum(merged.column("df")).as_py() or 0)

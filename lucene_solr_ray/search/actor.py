@@ -29,8 +29,10 @@ decoded posting arrays:
   before exact scoring.
 
 The term dictionary is the postings table sorted ONCE at open by (term,
-shard, salt): a term's salted runs (skew handling) are contiguous rows in
-docID order — runs cover disjoint, increasing docID ranges by construction.
+first_doc): a term has one run per shard it was built in (several for a
+salted hot term), the runs cover disjoint docID ranges by construction, so
+they become contiguous rows in docID order — ordered by docID as
+SegmentMerger does, never by a per-segment label.
 """
 
 from __future__ import annotations
@@ -83,37 +85,34 @@ class IndexShard:
         if isinstance(shard_dirs, str):
             shard_dirs = [shard_dirs]
         import glob
+        import os
 
         import pyarrow as pa
         import pyarrow.compute as pc
 
-        files = [(si, f) for si, d in enumerate(sorted(shard_dirs))
-                 for f in sorted(glob.glob(f"{d}/postings-*.parquet"))]
-        tables = [pq.read_table(f) for _, f in files]
+        files = [f for d in sorted(shard_dirs) for f in sorted(glob.glob(f"{d}/postings-*.parquet"))]
+        tables = [pq.read_table(f) for f in files]
         table = pa.concat_tables(tables) if tables else POSTINGS_SCHEMA.empty_table()
-        # (term, shard, salt) order puts a term's runs in docID order: shards
-        # are contiguous doc ranges, salts contiguous pid runs within a shard
-        shard = np.repeat(np.array([si for si, _ in files], dtype=np.int32), [t.num_rows for t in tables])
-        keys = pa.table({"term": table["term"], "shard": shard, "salt": table["salt"]})
-        order = pc.sort_indices(keys, sort_keys=[(k, "ascending") for k in keys.column_names])
+        # (term, first_doc) order puts a term's runs in docID order
+        order = pc.sort_indices(table, sort_keys=[("term", "ascending"), ("first_doc", "ascending")])
         # one Array per column: a row read does not search one chunk per file
         self._col = {name: pc.take(table[name], order).combine_chunks() for name in table.column_names}
         runs = pc.run_end_encode(self._col["term"])
         self._local_terms = runs.values.to_numpy(zero_copy_only=False)
         self._run_starts = np.concatenate([[0], runs.run_ends.to_numpy()]).astype(np.int64)
-        # each run of a term must start past the previous run's last doc; an
-        # index compacted with the old per-bucket salt stride breaks this
+        # each run of a term must start past the previous run's last doc;
+        # only overlapping runs (a duplicated postings file or dir) break this
         cont = np.ones(table.num_rows, dtype=bool)  # row continues its term
         cont[self._run_starts[:-1]] = False
         first, last = self._col["first_doc"].to_numpy(), self._col["last_doc"].to_numpy()
         bad = np.flatnonzero(cont[1:] & (first[1:] <= last[:-1]))
         if bad.size:
             row = int(bad[0]) + 1
-            d = sorted(shard_dirs)[shard[order[row].as_py()]]
+            ends = np.cumsum([t.num_rows for t in tables])
+            d = os.path.dirname(files[int(np.searchsorted(ends, order[row].as_py(), side="right"))])
             raise RuntimeError(
-                f"postings of term {self._col['term'][row].as_py()!r} in {d} are out of "
-                "docID order (salted runs collide, as in an index compacted by an older version); "
-                "rebuild the index"
+                f"postings of term {self._col['term'][row].as_py()!r} in {d} overlap an earlier "
+                "run's docIDs (a postings file or shard dir opened twice?)"
             )
         # a term's df = Σ its runs' dfs (salted runs partition the doc space)
         self._local_dfs = np.add.reduceat(self._col["df"].to_numpy(), self._run_starts[:-1])
