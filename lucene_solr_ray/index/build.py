@@ -55,6 +55,7 @@ from ..analysis import analyze_batch, index_tokenizer, tokenize
 from ..analysis.icu import tokenized_analyze_batch
 from . import codec
 from .manifest import Manifest
+from .segments import write_segment
 from .smallfloat import int_to_byte4_np
 from .stats_sidecar import SCHEMA as STATS_SCHEMA, sidecar_path, write_stats_sidecar
 
@@ -635,7 +636,6 @@ def build_index(
     shards = [[specs[pid] for pid in group] for group in plan]
     shards_root = index_dir / manifest.data["config"].get("shards_dir", "shards")
     shards_root.mkdir(parents=True, exist_ok=True)
-    (index_dir / "segments").mkdir(parents=True, exist_ok=True)
     done_count = 0
 
     def salt_of(local_idx: int, shard_len: int) -> int:
@@ -647,14 +647,14 @@ def build_index(
     n_buckets = N_BUCKETS
 
     @ray.remote(num_returns=n_buckets + 1)
-    def invert_task(path: str, pid: int, base: int, salt: int, seg_root: str, hot: list[str]):
+    def invert_task(path: str, pid: int, base: int, salt: int, index_root: str, hot: list[str]):
         """Map side: read one doc-partition, invert, PARTITION BY BUCKET.
 
         Returns n_buckets partial tables (one ObjectRef per bucket, so each
         reducer fetches exactly its slice — an explicit map-side hash
         shuffle, the ParallelStream `{!hash workers=N}` pattern) plus a
-        (n_docs, sum_dl) lineage tuple.  The per-pid norms/docmap segment is
-        side-written atomically (idempotent under retry)."""
+        (n_docs, sum_dl) lineage tuple.  The per-pid segment is side-written
+        atomically by `segments.write_segment` (idempotent under retry)."""
         schema_names = pq.read_schema(path).names
         cols = ["conv_id", "turn_idx", "text"] + [
             f for f in dict.fromkeys(keyword_fields + analyzed_fields) if f in schema_names
@@ -676,11 +676,7 @@ def build_index(
             "pid",
             pa.array(np.full(partial.num_rows, pid, dtype=np.int32)),
         )
-        seg_dir = Path(seg_root) / f"pid={pid:05d}"
-        seg_dir.mkdir(parents=True, exist_ok=True)
-        tmp = seg_dir / ".norms.parquet.tmp"
-        pq.write_table(norms, tmp)
-        os.replace(tmp, seg_dir / "norms.parquet")
+        write_segment(index_root, pid, norms)
         bcol = partial.column("bucket").to_numpy(zero_copy_only=False)
         order = np.argsort(bcol, kind="stable")
         partial = partial.take(pa.array(order))
@@ -713,10 +709,8 @@ def build_index(
         if tmp_dir.exists():
             shutil.rmtree(tmp_dir)
         tmp_dir.mkdir(parents=True)
-        seg_root = str(index_dir / "segments")
-
         inv = [
-            invert_task.remote(s.path, s.pid, s.base, salt_of(j, len(shard)), seg_root, hot_terms)
+            invert_task.remote(s.path, s.pid, s.base, salt_of(j, len(shard)), str(index_dir), hot_terms)
             for j, s in enumerate(shard)
         ]
         merges = [

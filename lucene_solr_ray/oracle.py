@@ -291,7 +291,7 @@ class BruteForceIndex:
             return self._dfr_score(pf, w_sum, doc, field)
         if sim in ("dfr_if", "dfr_ine"):
             # phrase weight = Σ per-term weights (the engine's one phrase
-            # scorer, _score_phrase, sums the _term_weights leaves of every
+            # scorer, _score_phrase, sums the per-term `term_weight`s of every
             # slot alternative, like base dfr)
             from .search.bm25 import dfr_if_weight, dfr_ine_weight
 
@@ -299,7 +299,7 @@ class BruteForceIndex:
             return self._dfr_score(pf, sum(wf(self.cf(t), self.N) for t in terms), doc, field)
         if sim in self._NEW_SIMS:
             # phrase weight = Σ per-term weights (the engine sums
-            # _term_weights leaves — for dfi that is Σ cf_t/sum_ttf
+            # per-term `term_weight`s — for dfi that is Σ cf_t/sum_ttf
             # per-term QUOTIENTS; only synonym blends sum cfs first)
             return self._new_sim_score(sim, pf, sum(self._w(t) for t in terms), doc, field)
         idf_sum = sum(self.idf(t) for t in terms)

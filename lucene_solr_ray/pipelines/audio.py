@@ -28,10 +28,9 @@ from __future__ import annotations
 import struct
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
-from .common import Pipeline, pool, read
+from .common import Pipeline, hash_dup_groups, pool, read
 from .images import codec_errors
 
 # --------------------------------------------------------------------------
@@ -394,13 +393,14 @@ def _payloads(sf_dir: str):
     )
 
 
-def audio_features(sf_dir: str):
-    out = (
-        _payloads(sf_dir)
-        .map_batches(AudioDecoder, batch_format="pyarrow", batch_size=64, concurrency=pool())
-        .to_pandas()
+def _decoded(sf_dir: str):
+    return _payloads(sf_dir).map_batches(
+        AudioDecoder, batch_format="pyarrow", batch_size=64, concurrency=pool()
     )
-    return out.sort_values("doc_id").reset_index(drop=True)
+
+
+def audio_features(sf_dir: str):
+    return _decoded(sf_dir).to_pandas().sort_values("doc_id").reset_index(drop=True)
 
 
 def _vad_batch(batch: pa.Table) -> pa.Table:
@@ -438,22 +438,7 @@ def audio_vad_segments(sf_dir: str):
 
 def audio_fp_dedup(sf_dir: str):
     """Exact fingerprint dup groups via bounded (fp, count) partials."""
-
-    def partial(batch: pa.Table) -> pa.Table:
-        h = batch.column("fp32").to_numpy()
-        uniq, counts = np.unique(h, return_counts=True)
-        return pa.table({"fp32": pa.array(uniq), "n": pa.array(counts.astype(np.int64))})
-
-    parts = (
-        _payloads(sf_dir)
-        .map_batches(AudioDecoder, batch_format="pyarrow", batch_size=64, concurrency=pool())
-        .map_batches(partial, batch_format="pyarrow")
-        .to_pandas()
-    )
-    g = parts.groupby("fp32", as_index=False)["n"].sum()
-    g = g[g["n"] >= 2].sort_values(["n", "fp32"], ascending=[False, True])
-    g["n"] = g["n"].astype("int64")
-    return g.reset_index(drop=True)
+    return hash_dup_groups(_decoded(sf_dir), "fp32")
 
 
 PIPELINES: dict[str, Pipeline] = {

@@ -17,6 +17,7 @@ from typing import Any, Callable
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import pyarrow.parquet as pq
 
 
@@ -47,6 +48,21 @@ def merge_partials(ds, keys: list[str], ops: dict[str, str]):
     this box).  For UNBOUNDED key domains (ids, vocabularies) use
     `bucketed` instead."""
     return ds.to_pandas().groupby(keys, as_index=False).agg(ops)
+
+
+def hash_dup_groups(ds, col: str) -> pd.DataFrame:
+    """Exact dup groups of the hash column `col` of `ds`: a (hash, n)
+    combiner partial per batch (only those rows leave each task), summed
+    by `merge_partials`; groups with n ≥ 2, ranked (n desc, hash asc)."""
+
+    def partial(batch):
+        uniq, counts = np.unique(batch.column(col).to_numpy(), return_counts=True)
+        return pa.table({col: pa.array(uniq), "n": pa.array(counts.astype(np.int64))})
+
+    g = merge_partials(ds.map_batches(partial, batch_format="pyarrow"), [col], {"n": "sum"})
+    g = g[g["n"] >= 2].sort_values(["n", col], ascending=[False, True])
+    g["n"] = g["n"].astype("int64")
+    return g.reset_index(drop=True)
 
 
 # Fixed shuffle domain for unbounded keys: Ray's groupby().map_groups costs

@@ -30,10 +30,9 @@ import struct
 import zlib
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
-from .common import Pipeline, pool, read
+from .common import Pipeline, hash_dup_groups, pool, read
 
 
 def codec_errors(fn):
@@ -415,57 +414,28 @@ def _payloads(sf_dir: str):
     )
 
 
-def image_features(sf_dir: str):
-    out = (
-        _payloads(sf_dir)
-        .map_batches(ImageDecoder, batch_format="pyarrow", batch_size=128, concurrency=pool())
-        .to_pandas()
+def _decoded(sf_dir: str):
+    return _payloads(sf_dir).map_batches(
+        ImageDecoder, batch_format="pyarrow", batch_size=128, concurrency=pool()
     )
-    return out.sort_values("doc_id").reset_index(drop=True)
+
+
+def image_features(sf_dir: str):
+    return _decoded(sf_dir).to_pandas().sort_values("doc_id").reset_index(drop=True)
 
 
 def image_ahash_dedup(sf_dir: str):
     """Exact perceptual-hash dup groups: (ahash, n≥2) via bounded combiner
     partials — only (hash, count) rows leave each task; hash-join the winners
     back is left to callers (the dedup_exact pattern)."""
-
-    def partial(batch: pa.Table) -> pa.Table:
-        h = batch.column("ahash").to_numpy()
-        uniq, counts = np.unique(h, return_counts=True)
-        return pa.table({"ahash": pa.array(uniq), "n": pa.array(counts.astype(np.int64))})
-
-    parts = (
-        _payloads(sf_dir)
-        .map_batches(ImageDecoder, batch_format="pyarrow", batch_size=128, concurrency=pool())
-        .map_batches(partial, batch_format="pyarrow")
-        .to_pandas()
-    )
-    g = parts.groupby("ahash", as_index=False)["n"].sum()
-    g = g[g["n"] >= 2].sort_values(["n", "ahash"], ascending=[False, True])
-    g["n"] = g["n"].astype("int64")
-    return g.reset_index(drop=True)
+    return hash_dup_groups(_decoded(sf_dir), "ahash")
 
 
 def image_phash_dedup(sf_dir: str):
     """pHash dup groups — same bounded (hash, count) combiner shape as
     ahash, over the DCT perceptual hash (survives blur/noise/brightness
     edits that break pixel-level hashes)."""
-
-    def partial(batch: pa.Table) -> pa.Table:
-        h = batch.column("phash").to_numpy()
-        uniq, counts = np.unique(h, return_counts=True)
-        return pa.table({"phash": pa.array(uniq), "n": pa.array(counts.astype(np.int64))})
-
-    parts = (
-        _payloads(sf_dir)
-        .map_batches(ImageDecoder, batch_format="pyarrow", batch_size=128, concurrency=pool())
-        .map_batches(partial, batch_format="pyarrow")
-        .to_pandas()
-    )
-    g = parts.groupby("phash", as_index=False)["n"].sum()
-    g = g[g["n"] >= 2].sort_values(["n", "phash"], ascending=[False, True])
-    g["n"] = g["n"].astype("int64")
-    return g.reset_index(drop=True)
+    return hash_dup_groups(_decoded(sf_dir), "phash")
 
 
 PIPELINES: dict[str, Pipeline] = {

@@ -33,6 +33,11 @@ first_doc): a term has one run per shard it was built in (several for a
 salted hot term), the runs cover disjoint docID ranges by construction, so
 they become contiguous rows in docID order — ordered by docID as
 SegmentMerger does, never by a per-segment label.
+
+Per-doc values (conv_id for block joins and match-all, keyword `dv_<f>`
+columns, numeric columns with their in-place updates) come from the
+shard's per-pid segments through `index/segments.py`, the one reader of
+that store: `_doc_column` reads a column once and caches it.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ import numpy as np
 import pandas as pd
 import pyarrow.parquet as pq
 
-from ..index import codec
+from ..index import codec, segments
 from ..index.build import POSTINGS_SCHEMA
 from .bm25 import (
     block_upper_bound,
@@ -68,10 +73,14 @@ class IndexShard:
         norm_cache=None,
         codec_name: str = "varbyte",
         avgdls: dict[str, float] | None = None,
+        segment_paths: list[str] | None = None,
     ):
         """`shard_dirs` may be one dir or several — an actor owns one or
         more term-shards (the Searcher sizes its pool to the index, so a
-        small index is one actor over all of its shards).
+        small index is one actor over all of its shards).  `segment_paths`
+        are the per-pid segments of the same docs (`index.segments`): the
+        doc-values, conv and dv-update reads of match-all, block joins,
+        sorts, facets and ranges.
 
         `norm_cache` is the text-field 256-entry BM25 cache, or a dict
         {"": text_cache, field: field_cache} when extra analyzed fields
@@ -139,6 +148,8 @@ class IndexShard:
         # posting decode, so every read path sees only live docs and the
         # driver never over-fetches k + |deletes|
         self._dead = np.empty(0, dtype=np.int64)
+        self._segment_paths = list(segment_paths or ())
+        self._doc_columns: dict[tuple[str, bool], tuple | None] = {}
 
     def ping(self) -> bool:
         return True
@@ -639,8 +650,7 @@ class IndexShard:
 
     def _eval_unboosted(self, node: QueryNode, idfs: dict[str, float], sim: str = "bm25"):
         if node.kind == "match_all":
-            fd, _ = self._load_docmap()  # every doc in this actor's range
-            docs = fd.astype(np.int64)
+            docs = self._convs()[0].astype(np.int64)  # every doc in this actor's range
             live = self._live_mask(docs)
             if live is not None:
                 docs = docs[live]
@@ -816,13 +826,6 @@ class IndexShard:
                 detail[t] = float(ts[j])
         return {"total": float(scores[i]), "terms": detail}
 
-    def set_docmap_paths(self, paths: list[str]) -> None:
-        """Per-pid norms/docmap segments covering this actor's doc range —
-        enables shard-local parent aggregation (conv blocks never span
-        doc-range shards under conv-range partitioning)."""
-        self._docmap_paths = list(paths)
-        self._docmap = None
-
     def export_shard_sorted(
         self,
         node: QueryNode,
@@ -861,12 +864,34 @@ class IndexShard:
         return path
 
     # -- doc values ----------------------------------------------------------
+    def _doc_column(self, name: str, numeric: bool = False):
+        """(doc_id, values) of segment column `name` over this shard's
+        docs, read once through `segments.read` (dv updates applied).
+        `numeric=True` wants a numeric column as a float64 array that
+        `apply_dv_updates` patches in place.  None when no segment has the
+        column (or, with `numeric`, it is not numeric)."""
+        key = (name, numeric)
+        if key not in self._doc_columns:
+            t = segments.read(self._segment_paths, [name])
+            col = None
+            if name in t.column_names and (not numeric or segments.is_numeric(t.schema.field(name).type)):
+                vals = t.column(name).to_numpy(zero_copy_only=False)
+                col = (t.column("doc_id").to_numpy(), vals.astype(np.float64) if numeric else vals)
+            self._doc_columns[key] = col
+        return self._doc_columns[key]
+
+    def _convs(self):
+        """(docIDs, conv_id per doc) of every doc this shard serves, in
+        docID order — conv blocks are contiguous and never span shards."""
+        return self._doc_column("conv_id") or (_EMPTY_I64, np.empty(0, dtype=object))
+
     def _dv_at(self, field: str, docs: np.ndarray, numeric: bool = False):
         """(values, present mask) of `field`'s doc values at the sorted
-        `docs` this shard owns — keyword (SortedDocValues) by default,
-        float64 with `numeric=True`.  A doc without a value is absent from
-        the mask (`pd.notna`).  None when no segment has the column."""
-        dv = self._load_numeric_dv(field) if numeric else self._load_docvalues(field)
+        `docs` this shard owns — keyword (SortedDocValues, the `dv_<field>`
+        column) by default, float64 with `numeric=True`.  A doc without a
+        value is absent from the mask (`pd.notna`).  None when no segment
+        has the column."""
+        dv = self._doc_column(field if numeric else f"dv_{field}", numeric)
         if dv is None:
             return None
         fd, fv = dv
@@ -881,75 +906,6 @@ class IndexShard:
             raise KeyError(f"unknown numeric doc-values field {field!r}")
         return at[0]
 
-    def _load_docvalues(self, field: str):
-        """(doc_id, value) doc-values column for a keyword field, loaded
-        once from the norms segments (the SortedDocValues analog)."""
-        cache = getattr(self, "_dv_cache", None)
-        if cache is None:
-            cache = self._dv_cache = {}
-        if field not in cache:
-            import pyarrow as pa
-
-            col = f"dv_{field}"
-            tables = []
-            for p in self._docmap_paths:
-                if col in pq.read_schema(p).names:
-                    tables.append(pq.read_table(p, columns=["doc_id", col]))
-            if not tables:
-                cache[field] = None
-            else:
-                t = pa.concat_tables(tables).sort_by("doc_id")
-                cache[field] = (
-                    t.column("doc_id").to_numpy(),
-                    t.column(col).to_numpy(zero_copy_only=False),
-                )
-        return cache[field]
-
-    def _load_numeric_dv(self, field: str):
-        """(doc_id, float64 values) for a NUMERIC per-doc column (turn_idx,
-        dl, norm_byte) from the norms segments — the DoubleValuesSource a
-        FunctionScoreQuery reads (lucene/core/.../search/DoubleValues
-        Source.java).  Per-pid `dv_updates.parquet` sidecars (in-place
-        numeric doc-values updates, Lucene updateNumericDocValue) overlay
-        the base column at load."""
-        cache = getattr(self, "_ndv_cache", None)
-        if cache is None:
-            cache = self._ndv_cache = {}
-        if field not in cache:
-            import os
-
-            import pyarrow as pa
-
-            tables = []
-            overlays = []
-            for p in self._docmap_paths:
-                sch = pq.read_schema(p)
-                if field in sch.names and sch.field(field).type.id not in (13, 14):  # not string/binary
-                    tables.append(pq.read_table(p, columns=["doc_id", field]))
-                    side = os.path.join(os.path.dirname(p), "dv_updates.parquet")
-                    if os.path.exists(side):
-                        u = pq.read_table(side)
-                        m = np.asarray(u.column("field").to_pylist(), dtype=object) == field
-                        if m.any():
-                            overlays.append(
-                                (
-                                    u.column("doc_id").to_numpy()[m],
-                                    u.column("value").to_numpy()[m].astype(np.float64),
-                                )
-                            )
-            if not tables:
-                cache[field] = None
-            else:
-                t = pa.concat_tables(tables).sort_by("doc_id")
-                dd = t.column("doc_id").to_numpy()
-                vv = t.column(field).to_numpy().astype(np.float64).copy()
-                for ud, uv in overlays:
-                    pos = np.searchsorted(dd, ud)
-                    ok = (pos < dd.size) & (dd[np.minimum(pos, dd.size - 1)] == ud)
-                    vv[pos[ok]] = uv[ok]
-                cache[field] = (dd, vv)
-        return cache[field]
-
     def apply_dv_updates(self, field: str, docs: list[int], vals: list[float]) -> int:
         """Live half of the in-place numeric doc-values update: patch the
         loaded cache for `field` (a cold cache loads THROUGH the sidecar
@@ -958,7 +914,7 @@ class IndexShard:
         result cache is cleared.  Returns the number of docs this actor
         owns."""
         self._result_cache.clear()
-        dv = self._load_numeric_dv(field)
+        dv = self._doc_column(field, numeric=True)
         if dv is None:
             return 0
         dd, vv = dv
@@ -1008,7 +964,7 @@ class IndexShard:
         d = np.asarray(docs, np.int64)
         out: dict = {}
         for f in fields:
-            dv = self._load_numeric_dv(f)
+            dv = self._doc_column(f, numeric=True)
             if dv is None:
                 continue
             fd, fv = dv
@@ -1038,7 +994,7 @@ class IndexShard:
         return np.unique(np.concatenate(parts))
 
     def _range_docs_scan(self, field: str, lo: str, hi: str) -> np.ndarray:
-        dv = self._load_docvalues(field)
+        dv = self._doc_column(f"dv_{field}")
         if dv is None:
             return _EMPTY_I64
         doc_ids, vals = dv
@@ -1055,9 +1011,8 @@ class IndexShard:
         field, lo, hi = node.pattern, node.terms[0], node.terms[1]
         _, m_dfs = self._range_matching_terms(field, lo, hi)
         cost_index = int(m_dfs.sum())
-        fd, _ = self._load_docmap()
-        n_docs = int(fd.size)
-        dv_available = self._load_docvalues(field) is not None
+        n_docs = int(self._convs()[0].size)
+        dv_available = self._doc_column(f"dv_{field}") is not None
         use_index = (not dv_available) or cost_index * self.RANGE_SCAN_FRACTION <= n_docs
         self.last_range_plan = {
             "field": field,
@@ -1072,27 +1027,13 @@ class IndexShard:
         )
         return docs, np.ones(docs.size, dtype=np.float64)
 
-    def _load_docmap(self):
-        if getattr(self, "_docmap", None) is None:
-            import pyarrow as pa
-
-            tables = [
-                pq.read_table(p, columns=["doc_id", "conv_id"]) for p in self._docmap_paths
-            ]
-            t = pa.concat_tables(tables).sort_by("doc_id")
-            self._docmap = (
-                t.column("doc_id").to_numpy(),
-                t.column("conv_id").to_numpy(zero_copy_only=False),
-            )
-        return self._docmap
-
     def children_of(self, convs: list, limit: int) -> dict:
         """First `limit` LIVE child docIDs per conv — the fetch half of the
         ChildDocTransformer (solr/core/src/java/org/apache/solr/response/
         transform/ChildDocTransformerFactory.java).  Conv blocks are
         shard-local, so exactly one shard answers for each conv; only
         k × limit ids ever cross the wire."""
-        fd, fc = self._load_docmap()
+        fd, fc = self._convs()
         out = {}
         for c in convs:
             lo = int(np.searchsorted(fc, c, "left"))
@@ -1618,7 +1559,7 @@ def franged_hits(shard, docs, scores, expr_src: str, lo, hi, incl: bool, incu: b
 def _conv_runs(shard, docs):
     """(conv per doc, start index of each conv run) for sorted `docs` —
     conv blocks never span doc-range shards, so a run is a whole parent."""
-    fd, fc = shard._load_docmap()
+    fd, fc = shard._convs()
     convs = fc[np.searchsorted(fd, docs)]
     new = np.empty(convs.size, dtype=bool)
     new[0] = True
@@ -1650,7 +1591,7 @@ def match_children(shard, docs, scores, score_mode: str):
     pconvs, pscores = match_parents(shard, docs, scores, score_mode)
     if pconvs.size == 0:
         return _EMPTY_I64, np.empty(0, dtype=np.float32)
-    fd, fc = shard._load_docmap()
+    fd, fc = shard._convs()
     # vectorized conv → parent-score gather: sort parents, searchsorted
     order = np.argsort(pconvs, kind="stable")
     sp, ss = pconvs[order], pscores[order]
@@ -1661,6 +1602,22 @@ def match_children(shard, docs, scores, score_mode: str):
     if live is not None:
         kids, kscores = kids[live], kscores[live]
     return kids, kscores.astype(np.float32)
+
+
+def diversified_top_k(shard, docs, scores, k: int, max_per_parent: int):
+    """DiversifiedTopDocsCollector (lucene/misc/.../search/Diversified
+    TopDocsCollector.java): the top k by (float32 score desc, docID asc)
+    keeping at most `max_per_parent` hits per conv.  A conv block never
+    spans shards, so the per-conv cap is exact here and the page merges
+    like any top-k.  → (docs int64, float32 scores)."""
+    s32 = scores.astype(np.float32)
+    if docs.size == 0:
+        return docs, s32
+    order = np.lexsort((docs, -s32))
+    codes = pd.factorize(_conv_runs(shard, docs)[0][order])[0]
+    occ = pd.Series(codes).groupby(codes).cumcount().to_numpy()  # rank within its conv
+    keep = order[occ < max_per_parent][:k]
+    return docs[keep], s32[keep]
 
 
 def match_parents_childfield(shard, docs, scores, field: str, sel: str):
@@ -1728,6 +1685,7 @@ COLLECT = {
         franged_hits,
         match_parents,
         match_children,
+        diversified_top_k,
         match_parents_childfield,
         join_values,
     )

@@ -73,8 +73,7 @@ class LazyBM25Stats:
         return self._cache[term][1]
 
     def idf(self, term: str) -> float:
-        df = self.df(term)
-        return math.log(1.0 + (self.N - df + 0.5) / (df + 0.5))
+        return bm25_idf(self.df(term), self.N)
 
     def idfs(self, terms: list[str]) -> dict[str, float]:
         """Absent terms (df=0) map to 0.0: the reference has no
@@ -83,6 +82,10 @@ class LazyBM25Stats:
         match, so no other path observes the difference."""
         self.resolve(terms)
         return {t: (self.idf(t) if self.df(t) > 0 else 0.0) for t in set(terms)}
+
+
+def bm25_idf(df: int, n_docs: int) -> float:
+    return math.log(1.0 + (n_docs - df + 0.5) / (df + 0.5))
 
 
 def score_postings(
@@ -270,6 +273,30 @@ def score_postings_dfi(
         m = DFI_MEASURES[measure](f, e)
         s = np.log2(m + 1.0)
     return np.where(f > e, s, 0.0)
+
+
+def term_weight(similarity: str, df: int, cf: int, n_docs: int, sum_ttf: int) -> float:
+    """The driver-side weight a term carries to every shard under
+    `similarity`, from its global (df, cf) — a blended synonym passes (max
+    df, summed cf).  A bm25 term with df 0 weighs 0.0 (it never matches);
+    the other similarities keep their formula's value."""
+    if similarity == "classic":
+        return classic_idf(df, n_docs)
+    if similarity in ("lm", "lmjm") or similarity.startswith("dfi"):
+        return cf / sum_ttf
+    if similarity == "dfr":
+        return dfr_weight(df, n_docs)
+    if similarity == "dfr_if":
+        return dfr_if_weight(cf, n_docs)
+    if similarity == "dfr_ine":
+        return dfr_ine_weight(cf, n_docs)
+    if similarity == "ib":
+        return ib_lambda(df, n_docs)
+    if similarity == "axiomatic":
+        return axiomatic_idf(df, n_docs)
+    if similarity == "bool":
+        return 1.0
+    return bm25_idf(df, n_docs) if df > 0 else 0.0
 
 
 def block_upper_bound(

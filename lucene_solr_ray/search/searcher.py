@@ -19,8 +19,11 @@ split (SURVEY.md §2.7) as the one shape of every query-scoped feature:
   TopDocs.merge pattern.  `handle_select` answers the page, numFound and
   all its sections in a single request.
 - Phase GET_FIELDS: `fetch` materializes stored fields (conv_id, turn_idx)
-  for the winners only, by reading just the norms/docmap segments whose
-  docID range covers them.
+  for the winners only, by reading just the per-pid segments whose docID
+  range covers them.  `index/segments.py` owns that store (paths, the
+  docID → pid lookup, the one column reader that applies in-place dv
+  updates, and the dv-update writer): `fetch`, `fetch_fields`, `get` and
+  `update_numeric_docvalues` go through it, as the shard actors do.
 
 Actors are created lazily from the committed manifest.  Global stats are
 LAZY (`LazyBM25Stats`): df/cf resolve per query term by binary search in
@@ -44,9 +47,10 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 
+from ..index import segments
 from ..index.stats_sidecar import sidecar_path, write_stats_sidecar
 from .actor import IndexShard
-from .bm25 import LazyBM25Stats, classic_idf, dfr_weight, make_norm_cache
+from .bm25 import LazyBM25Stats, make_norm_cache, term_weight
 from .query import MAX_EXPANSIONS, QueryNode, multi_term_nodes, node_key, parse_query, rewrite_with
 from .qparser import QParserError
 
@@ -287,12 +291,11 @@ class Searcher:
         shard_ids = sorted(int(k) for k in manifest["shards"])
         shards_root = self.index_dir / manifest["config"].get("shards_dir", "shards")
         self.shard_dirs = [str(shards_root / f"shard={sid:05d}") for sid in shard_ids]
-        # docmap segments per shard (shard-local parent aggregation)
+        # each shard's per-pid segments (doc values, convs, dv updates)
         seg_by_shard: dict[int, list[str]] = {}
-        for pid, seg in manifest["segments"].items():
-            seg_by_shard.setdefault(int(seg["shard"]), []).append(
-                str(self.index_dir / "segments" / f"pid={int(pid):05d}" / "norms.parquet")
-            )
+        for pid in sorted(manifest["segments"], key=int):
+            sid = int(manifest["segments"][pid]["shard"])
+            seg_by_shard.setdefault(sid, []).append(str(segments.segment_path(self.index_dir, pid)))
         self.use_ray = use_ray
         if use_ray:
             import ray
@@ -316,12 +319,12 @@ class Searcher:
             actor_cls = ray.remote(num_cpus=1)(IndexShard)
             codec_name = manifest["config"].get("codec", "varbyte")
             self.actors = [
-                actor_cls.remote(dirs, self.norm_caches, codec_name, self.avgdls)
-                for dirs in assign
+                actor_cls.remote(
+                    dirs, self.norm_caches, codec_name, self.avgdls,
+                    [p for sid in ids for p in seg_by_shard.get(sid, [])],
+                )
+                for dirs, ids in zip(assign, assign_ids)
             ]
-            for a, ids in zip(self.actors, assign_ids):
-                paths = sorted(p for sid in ids for p in seg_by_shard.get(sid, []))
-                a.set_docmap_paths.remote(paths)
             ray.get([a.ping.remote() for a in self.actors])  # warm load
         else:
             self.actors = [
@@ -330,11 +333,9 @@ class Searcher:
                     self.norm_caches,
                     manifest["config"].get("codec", "varbyte"),
                     self.avgdls,
+                    [p for sid in shard_ids for p in seg_by_shard.get(sid, [])],
                 )
             ]
-            self.actors[0].set_docmap_paths(
-                sorted(p for ps in seg_by_shard.values() for p in ps)
-            )
         # shards.tolerant: skip dead shards instead of failing the request
         self.tolerant = False
         self.last_partial = False
@@ -1094,34 +1095,14 @@ class Searcher:
         sel = "min" if order == "asc" else "max"
         return self._collect(query, [_Collect(("match_parents_childfield", field, sel), merge, [])])[0]
 
-    def _conv_of(self, docs: np.ndarray) -> np.ndarray:
-        """Vectorized docID → conv_id via the fetched docmap rows."""
-        ft = self.fetch(docs.tolist()).sort_by("doc_id")
-        fd = ft.column("doc_id").to_numpy()
-        fc = ft.column("conv_id").to_numpy(zero_copy_only=False)
-        return fc[np.searchsorted(fd, docs)]
-
     def search_diversified(
         self, query: str, k: int = 10, max_per_parent: int = 1
     ) -> list[tuple[int, float]]:
         """DiversifiedTopDocsCollector analog (lucene/misc/src/java/org/
         apache/lucene/search/DiversifiedTopDocsCollector.java): top-k with
-        at most `max_per_parent` hits per conversation."""
-        prep = self._prepare(query)
-        if prep is None:
-            return []
-        parts = self._scatter("match_all", *prep)
-        docs = np.concatenate([p[0] for p in parts]) if parts else np.empty(0, np.int64)
-        scores = np.concatenate([p[1] for p in parts]).astype(np.float32) if parts else np.empty(0, np.float32)
-        if docs.size == 0:
-            return []
-        convs = self._conv_of(docs)
-        order = np.lexsort((docs, -scores))
-        codes = pd.factorize(convs[order])[0]
-        # occurrence rank of each hit within its conv, in rank order
-        occ = pd.Series(codes).groupby(codes).cumcount().to_numpy()
-        keep = order[occ < max_per_parent][:k]
-        return [(int(docs[i]), float(scores[i])) for i in keep]
+        at most `max_per_parent` hits per conversation, capped shard-side
+        (conv blocks never span shards)."""
+        return self._collect(query, [_top_k_collector(("diversified_top_k", k, max_per_parent), k)])[0]
 
     # -- deletes (live-docs) ----------------------------------------------
     # Tombstones persist as PER-SHARD files (tombstones/shard=NNNNN.parquet,
@@ -1667,80 +1648,31 @@ class Searcher:
     def _weights_for(self, node, similarity: str = "bm25") -> dict:
         """Per-term weights + blended SynonymQuery weights for every
         synonym node in the tree: docFreq = max over members, ttf = sum
-        (SynonymQuery.java's combined TermStatistics), computed from the
-        GLOBAL stats on the driver so every shard scores identically."""
-        import math as _math
-
+        (SynonymQuery.java's combined TermStatistics), both through
+        `term_weight` from the GLOBAL stats on the driver so every shard
+        scores identically.  A synonym none of whose members occurs
+        weighs 0.0."""
         from .query import synonym_weight_key
 
-        idfs = self._term_weights(node.all_terms(), similarity)
+        terms = node.all_terms()
+        self.stats.resolve(terms)
+        n_docs, sum_ttf = self.stats.N, self.manifest["stats"].get("sum_ttf")
+        idfs = {
+            t: term_weight(similarity, self.stats.df(t), self.stats.cf(t), n_docs, sum_ttf)
+            for t in set(terms)
+        }
 
         def walk(n):
             if n.kind == "synonym":
                 df_max = max((self.stats.df(t) for t in n.terms), default=0)
-                key = synonym_weight_key(n.terms)
-                if df_max == 0:
-                    idfs[key] = 0.0
-                elif similarity == "classic":
-                    idfs[key] = classic_idf(df_max, self.stats.N)
-                elif similarity == "lm":
-                    st = self.manifest["stats"]
-                    idfs[key] = sum(self.stats.cf(t) for t in n.terms) / st["sum_ttf"]
-                elif similarity == "dfr":
-                    idfs[key] = dfr_weight(df_max, self.stats.N)
-                elif similarity in ("dfr_if", "dfr_ine"):
-                    from .bm25 import dfr_if_weight, dfr_ine_weight
-
-                    cf_sum = sum(self.stats.cf(t) for t in n.terms)
-                    wf = dfr_if_weight if similarity == "dfr_if" else dfr_ine_weight
-                    idfs[key] = wf(cf_sum, self.stats.N)
-                elif similarity == "lmjm" or similarity.startswith("dfi"):
-                    st = self.manifest["stats"]
-                    idfs[key] = sum(self.stats.cf(t) for t in n.terms) / st["sum_ttf"]
-                elif similarity == "ib":
-                    from .bm25 import ib_lambda
-
-                    idfs[key] = ib_lambda(df_max, self.stats.N)
-                elif similarity == "axiomatic":
-                    from .bm25 import axiomatic_idf
-
-                    idfs[key] = axiomatic_idf(df_max, self.stats.N)
-                elif similarity == "bool":
-                    idfs[key] = 1.0
-                else:
-                    idfs[key] = _math.log(
-                        1.0 + (self.stats.N - df_max + 0.5) / (df_max + 0.5)
-                    )
+                cf_sum = sum(self.stats.cf(t) for t in n.terms)
+                w = term_weight(similarity, df_max, cf_sum, n_docs, sum_ttf) if df_max else 0.0
+                idfs[synonym_weight_key(n.terms)] = w
             for _, c in n.clauses:
                 walk(c)
 
         walk(node)
         return idfs
-
-    def _term_weights(self, terms, similarity: str) -> dict:
-        if similarity == "classic":
-            return {t: classic_idf(self.stats.df(t), self.stats.N) for t in set(terms)}
-        if similarity in ("lm", "lmjm") or similarity.startswith("dfi"):
-            st = self.manifest["stats"]
-            return {t: self.stats.cf(t) / st["sum_ttf"] for t in set(terms)}
-        if similarity == "dfr":
-            return {t: dfr_weight(self.stats.df(t), self.stats.N) for t in set(terms)}
-        if similarity in ("dfr_if", "dfr_ine"):
-            from .bm25 import dfr_if_weight, dfr_ine_weight
-
-            wf = dfr_if_weight if similarity == "dfr_if" else dfr_ine_weight
-            return {t: wf(self.stats.cf(t), self.stats.N) for t in set(terms)}
-        if similarity == "ib":
-            from .bm25 import ib_lambda
-
-            return {t: ib_lambda(self.stats.df(t), self.stats.N) for t in set(terms)}
-        if similarity == "axiomatic":
-            from .bm25 import axiomatic_idf
-
-            return {t: axiomatic_idf(self.stats.df(t), self.stats.N) for t in set(terms)}
-        if similarity == "bool":
-            return {t: 1.0 for t in set(terms)}
-        return self.stats.idfs(terms)
 
     def search_node(
         self,
@@ -1894,21 +1826,14 @@ class Searcher:
         return None
 
     def fetch(self, doc_ids: list[int]) -> pa.Table:
-        """GET_FIELDS phase: (doc_id, conv_id, turn_idx) for the winners.
-
-        Reads only the per-pid docmap segments whose docID range covers the
-        requested ids (contiguous bases from the manifest lineage)."""
-        inputs = self.manifest["config"]["inputs"]  # [path, rows, base]
-        bases = np.asarray([b for _, _, b in inputs], dtype=np.int64)
+        """GET_FIELDS phase: (doc_id, conv_id, turn_idx) for the winners,
+        in docID order, dv updates applied.  Reads only the per-pid
+        segments that hold the requested ids; None when none is asked."""
         want = np.asarray(sorted(set(doc_ids)), dtype=np.int64)
-        pids = np.searchsorted(bases, want, side="right") - 1
-        out = []
-        for pid in np.unique(pids):
-            seg = self.index_dir / "segments" / f"pid={int(pid):05d}" / "norms.parquet"
-            t = pq.read_table(seg, columns=["doc_id", "conv_id", "turn_idx"])
-            mask = np.isin(t.column("doc_id").to_numpy(), want)
-            out.append(t.filter(pa.array(mask)))
-        return pa.concat_tables(out) if out else None
+        if not want.size:
+            return None
+        paths = segments.paths_of(self.index_dir, self.manifest, want)
+        return segments.read(paths, ["conv_id", "turn_idx"], docs=want)
 
     def export(
         self,
@@ -1994,80 +1919,39 @@ class Searcher:
     def update_numeric_docvalues(self, field: str, updates: dict[int, float]) -> int:
         """In-place numeric doc-values update (Lucene IndexWriter.
         updateNumericDocValue / Solr in-place atomic updates on non-stored
-        numeric dv fields): no reindex — per-pid `dv_updates.parquet`
-        sidecars get the new values (tmp+rename commit, last-write-wins
-        merge with prior updates), and live actors patch their loaded
-        caches in place.  Scoring norms are untouched, exactly like the
+        numeric dv fields): no reindex — `segments.write_dv_updates` merges
+        the new values into the per-pid sidecars (tmp+rename commit,
+        last-write-wins), and live actors patch their loaded caches in
+        place.  Scoring norms are untouched, exactly like the
         reference (dv updates change sort/function/stats views only).
         Returns the number of docs patched on live actors."""
         if not updates:
             return 0
-        inputs = self.manifest["config"]["inputs"]
-        bases = np.asarray([b for _, _, b in inputs], dtype=np.int64)
         docs = np.asarray(sorted(updates), dtype=np.int64)
         vals = np.asarray([float(updates[int(d)]) for d in docs], dtype=np.float64)
-        # validate: numeric stored column (not a dv_ keyword field)
-        seg0 = self.index_dir / "segments" / "pid=00000" / "norms.parquet"
-        sch = pq.read_schema(seg0)
-        if field not in sch.names or sch.field(field).type.id in (13, 14):
-            raise KeyError(f"not an updatable numeric doc-values field: {field!r}")
-        pids = np.searchsorted(bases, docs, side="right") - 1
-        for pid in np.unique(pids):
-            seg_dir = self.index_dir / "segments" / f"pid={int(pid):05d}"
-            side = seg_dir / "dv_updates.parquet"
-            m = pids == pid
-            new = pd.DataFrame({"doc_id": docs[m], "field": field, "value": vals[m]})
-            if side.exists():
-                old = pq.read_table(side).to_pandas()
-                old = old[~((old["field"] == field) & old["doc_id"].isin(new["doc_id"]))]
-                new = pd.concat([old, new], ignore_index=True)
-            tmp = seg_dir / ".dv_updates.parquet.tmp"
-            pq.write_table(pa.Table.from_pandas(new, preserve_index=False), tmp)
-            tmp.replace(side)
+        segments.write_dv_updates(self.index_dir, self.manifest, field, docs, vals)
         return int(sum(self._scatter("apply_dv_updates", field, docs.tolist(), vals.tolist())))
 
     def fetch_fields(self, doc_ids: list[int], fields: list[str]) -> pd.DataFrame:
         """fl= projection for SPECIFIC docs: numeric stored columns and
         keyword doc-values (`role` reads `dv_role`) from the pid-pruned
-        norms segments, `text` from the manifest-lineage source files
-        (fetch_text).  → frame indexed by doc_id, one column per field;
-        unknown fields raise KeyError (Solr returns 400 for bad fl)."""
+        segments (dv updates applied), `text` from the manifest-lineage
+        source files (fetch_text).  → frame indexed by doc_id, one column
+        per field; unknown fields raise KeyError (Solr returns 400 for bad
+        fl)."""
         want = sorted(set(int(d) for d in doc_ids))
         out = pd.DataFrame(index=pd.Index(want, name="doc_id"))
         seg_fields = [f for f in fields if f != "text"]
         if seg_fields:
-            inputs = self.manifest["config"]["inputs"]
-            bases = np.asarray([b for _, _, b in inputs], dtype=np.int64)
             w = np.asarray(want, dtype=np.int64)
-            pids = np.searchsorted(bases, w, side="right") - 1
-            frames = []
-            for pid in np.unique(pids):
-                seg = self.index_dir / "segments" / f"pid={int(pid):05d}" / "norms.parquet"
-                names = pq.read_schema(seg).names
-                cols = {}
-                for f in seg_fields:
-                    if f in names:
-                        cols[f] = f
-                    elif f"dv_{f}" in names:
-                        cols[f] = f"dv_{f}"
-                    else:
-                        raise KeyError(f"unknown fl field {f!r}")
-                t = pq.read_table(seg, columns=["doc_id"] + sorted(set(cols.values())))
-                mask = np.isin(t.column("doc_id").to_numpy(), w)
-                t = t.filter(pa.array(mask))
-                df = pd.DataFrame({f: t.column(c).to_numpy(zero_copy_only=False) for f, c in cols.items()},
-                                  index=t.column("doc_id").to_numpy())
-                side = seg.parent / "dv_updates.parquet"
-                if side.exists():  # in-place dv updates overlay stored reads too
-                    u = pq.read_table(side).to_pandas()
-                    for f in cols:
-                        uf = u[(u["field"] == f) & u["doc_id"].isin(df.index)]
-                        if len(uf):
-                            df.loc[uf["doc_id"].to_numpy(), f] = uf["value"].to_numpy()
-                frames.append(df)
-            seg_df = pd.concat(frames) if frames else pd.DataFrame(columns=seg_fields)
+            paths = segments.paths_of(self.index_dir, self.manifest, w)
+            t = segments.read(paths, [c for f in seg_fields for c in (f, f"dv_{f}")], docs=w)
             for f in seg_fields:
-                out[f] = seg_df[f].reindex(want)
+                c = next((c for c in (f, f"dv_{f}") if c in t.column_names), None)
+                if c is None and want:
+                    raise KeyError(f"unknown fl field {f!r}")
+                vals = t.column(c).to_numpy(zero_copy_only=False) if c else np.empty(0, dtype=object)
+                out[f] = pd.Series(vals, index=t.column("doc_id").to_numpy()).reindex(want)
         if "text" in fields:
             txt = self.fetch_text(want)
             out["text"] = [txt.get(d) for d in want]
@@ -2110,11 +1994,10 @@ class Searcher:
         file base + rank under the (conv_id, turn_idx) sort, so the text of
         doc d lives at sorted-row (d - base) of its input file)."""
         inputs = self.manifest["config"]["inputs"]
-        bases = np.asarray([b for _, _, b in inputs], dtype=np.int64)
-        total = int(bases[-1]) + int(inputs[-1][1]) if inputs else 0
+        total = int(inputs[-1][2]) + int(inputs[-1][1]) if inputs else 0
         want = np.asarray(sorted(set(int(d) for d in doc_ids)), dtype=np.int64)
         want = want[(want >= 0) & (want < total)]
-        pids = np.searchsorted(bases, want, side="right") - 1
+        pids = segments.pids_of(self.manifest, want)
         out: dict[int, str] = {}
         for pid in np.unique(pids):
             path, _rows, base = inputs[int(pid)]
@@ -2257,15 +2140,15 @@ class Searcher:
         contract), so the owning partition is found by BINARY SEARCH over
         per-pid conv ranges read from parquet footer statistics — O(log
         n_files) footer reads, then ONE predicate-pushdown read of that
-        pid's norms segment.  Tombstoned docs are filtered (deleted docs
-        don't /get)."""
+        pid's segment, matched on the built key; dv updates apply to the
+        rows returned.  Tombstoned docs are filtered (deleted docs don't
+        /get)."""
         inputs = self.manifest["config"]["inputs"]
         lo, hi = 0, len(inputs) - 1
         owner = None
         while lo <= hi:
             mid = (lo + hi) // 2
-            seg = self.index_dir / "segments" / f"pid={mid:05d}" / "norms.parquet"
-            md = pq.ParquetFile(seg).metadata
+            md = pq.ParquetFile(segments.segment_path(self.index_dir, mid)).metadata
             idx = md.schema.to_arrow_schema().get_field_index("conv_id")
             mn = min(md.row_group(i).column(idx).statistics.min for i in range(md.num_row_groups))
             mx = max(md.row_group(i).column(idx).statistics.max for i in range(md.num_row_groups))
@@ -2278,16 +2161,12 @@ class Searcher:
                 break
         if owner is None:
             return []
-        seg = self.index_dir / "segments" / f"pid={owner:05d}" / "norms.parquet"
         flt = [("conv_id", "==", conv_id)]
         if turn_idx is not None:
             flt.append(("turn_idx", "==", int(turn_idx)))
-        t = pq.read_table(seg, filters=flt)
-        if t.num_rows == 0:
-            return []
+        t = segments.read([segments.segment_path(self.index_dir, owner)], filters=flt)
         dead = np.isin(t.column("doc_id").to_numpy(), self._tombstones)
-        t = t.filter(pa.array(~dead))
-        rows = t.sort_by("turn_idx").to_pylist()
+        rows = t.filter(pa.array(~dead)).to_pylist()  # docID order = built turn order
         if with_text and rows:
             texts = self.fetch_text([r["doc_id"] for r in rows])
             for r in rows:

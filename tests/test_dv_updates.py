@@ -111,3 +111,30 @@ def test_dv_update_invalidates_result_cache(ray_session, index, tmp_path):  # no
         assert after == fresh.search_covering(queries, "turn_idx", 5) != before
     finally:
         fresh.close()
+
+
+def test_dv_update_overlays_every_stored_read(ray_session, index, tmp_path):  # noqa: F811
+    """fetch, get and fetch_fields read the segments through one reader,
+    so an updated value shows in every returned row, as in the sort view;
+    /get still finds the doc by its built (conv_id, turn_idx) key."""
+    import shutil
+
+    idx = str(tmp_path / "idx")
+    shutil.copytree(INDEX_DIR, idx)
+    s = Searcher(idx, use_ray=False)
+    try:
+        [(doc, _)] = s.search("assistant", 1)
+        [row] = s.fetch([doc]).to_pylist()
+        conv, turn = row["conv_id"], row["turn_idx"]
+        s.update_numeric_docvalues("turn_idx", {doc: 900})
+        assert s.fetch([doc]).to_pylist() == [{"doc_id": doc, "conv_id": conv, "turn_idx": 900}]
+        assert s.fetch_fields([doc], ["turn_idx"])["turn_idx"].tolist() == [900]
+        assert s.search_sorted("assistant", "turn_idx desc", 1)[0] == (doc, 900.0)
+        got = {r["doc_id"]: r["turn_idx"] for r in s.get(conv)}
+        assert got[doc] == 900
+        [hit] = s.get(conv, turn)
+        assert (hit["doc_id"], hit["turn_idx"]) == (doc, 900)
+        with pytest.raises(KeyError):
+            s.update_numeric_docvalues("doc_id", {doc: 1})  # the key itself is not a doc value
+    finally:
+        s.close()
