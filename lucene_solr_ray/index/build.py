@@ -4,10 +4,12 @@ Ray-Data-native reimplementation of the reference's indexing path
 (SURVEY.md §3.1): what `DocumentsWriterPerThread` + `DefaultIndexingChain` +
 `TermsHashPerField` do per thread (analyze + in-RAM posting accumulation,
 lucene/core/src/java/org/apache/lucene/index/DefaultIndexingChain.java,
-TermsHashPerField.java) happens here per input-file task inside
-`map_batches`; the flush+merge LSM (TieredMergePolicy/SegmentMerger) is
-replaced by one explicit `groupby(term)` shuffle per term-shard with a
-vectorized merge+encode in `map_groups`
+TermsHashPerField.java) happens here in one Ray task per input file; the
+flush+merge LSM (TieredMergePolicy/SegmentMerger) is replaced by one
+explicit hash shuffle per shard in raw Ray tasks: each invert task returns
+its partial postings cut into the shard's buckets (one ObjectRef each),
+and one merge task per bucket does a vectorized merge+encode of that
+bucket's partials from every file
 (lucene/core/src/java/org/apache/lucene/index/SegmentMerger.java,
 codecs/lucene84/Lucene84PostingsWriter.java).
 
@@ -19,9 +21,14 @@ Physical design (SURVEY.md §7.0, designed for 100 TB / multi-node):
   (conv_id, turn_idx) sort — bases come from Parquet footer row counts, so
   docID assignment needs NO data pass and no global sort.
 - Shards: contiguous groups of pids; each shard runs its own
-  read → invert → groupby(term_key) → merge → write pipeline and is the unit
-  of RESUME (manifest).  Query serving fans out over shards (docID ranges are
-  contiguous per shard) — the SolrCloud shard model.
+  read → invert → bucket by hash(term_key) → merge → write pipeline and is
+  the unit of RESUME (manifest).  Query serving fans out over shards (docID
+  ranges are contiguous per shard) — the SolrCloud shard model.
+- Shuffle width: a shard gets one bucket per `ROWS_PER_BUCKET` input rows
+  (footer row counts), capped at `N_BUCKETS` (`shard_buckets`), and writes
+  one `postings-<bucket>.parquet` per non-empty bucket; the manifest records
+  the shard's `n_buckets`.  Readers and compaction take whatever files a
+  shard dir holds, so shards of different widths mix in one index.
 - Skew: hot terms (sampled df above `HOT_DF_FRAC`) get SALTED keys — the
   salt is derived from the pid's position within the shard so each salted
   run covers a contiguous, disjoint docID range (BASELINE: explicit
@@ -60,7 +67,8 @@ from .smallfloat import int_to_byte4_np
 from .stats_sidecar import SCHEMA as STATS_SCHEMA, sidecar_path, write_stats_sidecar
 
 SALT_SEP = "\x01"
-N_BUCKETS = 32  # reduce-side hash-shuffle width per shard
+N_BUCKETS = 32  # cap on a shard's reduce-side hash-shuffle width
+ROWS_PER_BUCKET = 16_384  # input rows per merge task (`shard_buckets`)
 N_SALTS = 4  # salted runs per hot term per shard (at most one per file)
 HOT_DF_FRAC = 0.02  # sampled df fraction at which a term is salted
 
@@ -492,6 +500,15 @@ def merge_bucket(group: pa.Table, codec_name: str = "varbyte") -> pa.Table:
     )
 
 
+def shard_buckets(shard: list[FileSpec]) -> int:
+    """A shard's shuffle width from its footer row counts (no data pass):
+    one merge task per `ROWS_PER_BUCKET` rows, capped at `N_BUCKETS`.  A
+    merge task costs ~9 ms of CPU whatever its size and merging costs the
+    same per doc in one bucket or many, so a small shard gets one."""
+    rows = sum(s.rows for s in shard)
+    return min(N_BUCKETS, max(1, -(-rows // ROWS_PER_BUCKET)))
+
+
 def _config_fingerprint(specs: list[FileSpec], files_per_shard: int) -> str:
     payload = json.dumps(
         [[s.path, s.rows] for s in specs] + [files_per_shard, N_SALTS], sort_keys=True
@@ -644,16 +661,17 @@ def build_index(
 
     import ray
 
-    n_buckets = N_BUCKETS
-
-    @ray.remote(num_returns=n_buckets + 1)
-    def invert_task(path: str, pid: int, base: int, salt: int, index_root: str, hot: list[str]):
+    @ray.remote
+    def invert_task(
+        path: str, pid: int, base: int, salt: int, index_root: str, hot: list[str], n_buckets: int
+    ):
         """Map side: read one doc-partition, invert, PARTITION BY BUCKET.
 
         Returns n_buckets partial tables (one ObjectRef per bucket, so each
         reducer fetches exactly its slice — an explicit map-side hash
         shuffle, the ParallelStream `{!hash workers=N}` pattern) plus a
-        (n_docs, sum_dl) lineage tuple.  The per-pid segment is side-written
+        (n_docs, sum_dl) lineage tuple; the caller sets
+        `num_returns=n_buckets + 1`.  The per-pid segment is side-written
         atomically by `segments.write_segment` (idempotent under retry)."""
         schema_names = pq.read_schema(path).names
         cols = ["conv_id", "turn_idx", "text"] + [
@@ -709,8 +727,10 @@ def build_index(
         if tmp_dir.exists():
             shutil.rmtree(tmp_dir)
         tmp_dir.mkdir(parents=True)
+        n_buckets = shard_buckets(shard)
+        invert = invert_task.options(num_returns=n_buckets + 1)
         inv = [
-            invert_task.remote(s.path, s.pid, s.base, salt_of(j, len(shard)), str(index_dir), hot_terms)
+            invert.remote(s.path, s.pid, s.base, salt_of(j, len(shard)), str(index_dir), hot_terms, n_buckets)
             for j, s in enumerate(shard)
         ]
         merges = [
@@ -744,6 +764,7 @@ def build_index(
             doc_hi=shard[-1].base + shard[-1].rows,
             n_terms=n_terms,
             n_postings=n_postings,
+            n_buckets=n_buckets,
             wall_s=round(time.monotonic() - t0, 3),
             status="done",
         )

@@ -100,14 +100,19 @@ def read(paths, columns: list[str] | None = None, docs=None, filters=None) -> pa
 
 
 def _patched(col: pa.ChunkedArray, pos: np.ndarray, vals: np.ndarray) -> pa.Array:
-    """`col` with `vals` at rows `pos`: its type kept when every value
-    round-trips through it, else float64."""
-    v = col.to_numpy(zero_copy_only=False)
-    with np.errstate(invalid="ignore"):  # out-of-range casts just fail the round trip
-        keep = np.array_equal(vals.astype(v.dtype).astype(np.float64), vals)
-    v = v.copy() if keep else v.astype(np.float64)
+    """`col` with `vals` at rows `pos`, in its own type (`write_dv_updates`
+    only stores values that round-trip through it)."""
+    v = col.to_numpy(zero_copy_only=False).copy()
     v[pos] = vals
-    return pa.array(v, type=col.type if keep else pa.float64(), from_pandas=True)
+    return pa.array(v, type=col.type, from_pandas=True)
+
+
+def _fits(t: pa.DataType, vals: np.ndarray) -> bool:
+    """Every value round-trips through the column type `t` (Lucene's
+    `updateNumericDocValue` takes a long: 2.5 does not fit an integer)."""
+    with np.errstate(invalid="ignore", over="ignore"):  # out-of-range casts just fail the round trip
+        back = vals.astype(t.to_pandas_dtype()).astype(np.float64)
+    return np.array_equal(back, vals, equal_nan=pa.types.is_floating(t))
 
 
 def write_dv_updates(
@@ -116,13 +121,16 @@ def write_dv_updates(
     """Persist in-place updates of the numeric column `field`: per pid,
     merged last-write-wins into its `dv_updates.parquet` (tmp + rename).
     A field that is not a numeric column of every touched segment (or is
-    the docID itself) raises KeyError before anything is written."""
+    the docID itself) raises KeyError, and a value the column's type cannot
+    hold raises ValueError, before anything is written."""
     pids = pids_of(manifest, docs)
     touched = np.unique(pids)
     for pid in touched:
         sch = pq.read_schema(segment_path(index_dir, pid))
         if field == "doc_id" or field not in sch.names or not is_numeric(sch.field(field).type):
             raise KeyError(f"not an updatable numeric doc-values field: {field!r}")
+        if not _fits(sch.field(field).type, vals[pids == pid]):
+            raise ValueError(f"a value does not fit doc-values field {field!r} ({sch.field(field).type})")
     for pid in touched:
         path = segment_path(index_dir, pid).with_name(_DV_UPDATES)
         m = pids == pid

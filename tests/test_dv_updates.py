@@ -138,3 +138,27 @@ def test_dv_update_overlays_every_stored_read(ray_session, index, tmp_path):  # 
             s.update_numeric_docvalues("doc_id", {doc: 1})  # the key itself is not a doc value
     finally:
         s.close()
+
+
+def test_dv_update_refuses_a_value_its_column_cannot_hold(ray_session, index, tmp_path):  # noqa: F811
+    """`turn_idx` is an integer column: 2.5 is refused before any sidecar
+    is written (Lucene's updateNumericDocValue takes a long), so the
+    integer-exact stats views keep answering."""
+    import shutil
+    from pathlib import Path
+
+    idx = str(tmp_path / "idx")
+    shutil.copytree(INDEX_DIR, idx)
+    s = Searcher(idx, use_ray=False)
+    try:
+        before = s.stats_field("error", "turn_idx")
+        docs = [d for d, _ in s.search("error", 2)]
+        with pytest.raises(ValueError, match="turn_idx"):
+            s.update_numeric_docvalues("turn_idx", {docs[0]: 7, docs[1]: 2.5})
+        assert not list(Path(idx).glob("segments/*/dv_updates.parquet"))
+        assert s.stats_field("error", "turn_idx") == before
+        assert s.update_numeric_docvalues("turn_idx", {docs[1]: 3.0}) == 1  # integral: stored
+        assert s.fetch_fields([docs[1]], ["turn_idx"])["turn_idx"].tolist() == [3]
+        assert s.stats_field("error", "turn_idx")["count"] == before["count"]
+    finally:
+        s.close()
