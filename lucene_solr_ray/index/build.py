@@ -26,9 +26,9 @@ Physical design (SURVEY.md §7.0, designed for 100 TB / multi-node):
   ranges are contiguous per shard) — the SolrCloud shard model.
 - Shuffle width: a shard gets one bucket per `ROWS_PER_BUCKET` input rows
   (footer row counts), capped at `N_BUCKETS` (`shard_buckets`), and writes
-  one `postings-<bucket>.parquet` per non-empty bucket; the manifest records
-  the shard's `n_buckets`.  Readers and compaction take whatever files a
-  shard dir holds, so shards of different widths mix in one index.
+  one `postings-<bucket>.parquet` per non-empty bucket.  Readers and
+  compaction take whatever files a shard dir holds, so shards of different
+  widths mix in one index.
 - Skew: hot terms (sampled df above `HOT_DF_FRAC`) get SALTED keys — the
   salt is derived from the pid's position within the shard so each salted
   run covers a contiguous, disjoint docID range (BASELINE: explicit
@@ -503,8 +503,10 @@ def merge_bucket(group: pa.Table, codec_name: str = "varbyte") -> pa.Table:
 def shard_buckets(shard: list[FileSpec]) -> int:
     """A shard's shuffle width from its footer row counts (no data pass):
     one merge task per `ROWS_PER_BUCKET` rows, capped at `N_BUCKETS`.  A
-    merge task costs ~9 ms of CPU whatever its size and merging costs the
-    same per doc in one bucket or many, so a small shard gets one."""
+    merge task costs ~9 ms of CPU whatever its size, and `merge_bucket`
+    costs about the same per doc up to ~32k rows a bucket but more above
+    (a 125k-row shard: 6.3 us/doc in 8 buckets, 10.9 in one), so a small
+    shard gets one bucket and a large one a bucket per ~16k rows."""
     rows = sum(s.rows for s in shard)
     return min(N_BUCKETS, max(1, -(-rows // ROWS_PER_BUCKET)))
 
@@ -764,7 +766,6 @@ def build_index(
             doc_hi=shard[-1].base + shard[-1].rows,
             n_terms=n_terms,
             n_postings=n_postings,
-            n_buckets=n_buckets,
             wall_s=round(time.monotonic() - t0, 3),
             status="done",
         )

@@ -63,7 +63,10 @@ def read(paths, columns: list[str] | None = None, docs=None, filters=None) -> pa
     """`doc_id` plus `columns` (None: all) of the segments at `paths`,
     sorted by doc_id, each segment's dv updates applied to its numeric
     columns.  A column no segment holds is left out; one that only some
-    segments hold reads null in the others.  `docs` keeps those docIDs
+    segments hold reads null in the others.  A stored update its column's
+    type cannot hold (2.5 or NaN for an integer column, which
+    `write_dv_updates` refuses but older sidecars may carry) is skipped,
+    so the built value shows.  `docs` keeps those docIDs
     only; `filters` is a parquet predicate on the built (pre-update)
     values."""
     tables, updates = [], []
@@ -93,26 +96,28 @@ def read(paths, columns: list[str] | None = None, docs=None, filters=None) -> pa
             continue
         m = u_field == f.name
         pos = np.searchsorted(dd, u_doc[m])
-        ok = (pos < dd.size) & (dd[np.minimum(pos, dd.size - 1)] == u_doc[m])
+        ok = (pos < dd.size) & (dd[np.minimum(pos, dd.size - 1)] == u_doc[m]) & _fitting(f.type, u_val[m])
         if ok.any():
             t = t.set_column(i, f.name, _patched(t.column(i), pos[ok], u_val[m][ok]))
     return t
 
 
 def _patched(col: pa.ChunkedArray, pos: np.ndarray, vals: np.ndarray) -> pa.Array:
-    """`col` with `vals` at rows `pos`, in its own type (`write_dv_updates`
-    only stores values that round-trip through it)."""
+    """`col` with `vals` at rows `pos`, in its own type (`read` passes only
+    values that round-trip through it)."""
     v = col.to_numpy(zero_copy_only=False).copy()
     v[pos] = vals
     return pa.array(v, type=col.type, from_pandas=True)
 
 
-def _fits(t: pa.DataType, vals: np.ndarray) -> bool:
-    """Every value round-trips through the column type `t` (Lucene's
-    `updateNumericDocValue` takes a long: 2.5 does not fit an integer)."""
+def _fitting(t: pa.DataType, vals: np.ndarray) -> np.ndarray:
+    """Which values round-trip through the column type `t` (Lucene's
+    `updateNumericDocValue` takes a long: 2.5 and NaN do not fit an
+    integer)."""
     with np.errstate(invalid="ignore", over="ignore"):  # out-of-range casts just fail the round trip
         back = vals.astype(t.to_pandas_dtype()).astype(np.float64)
-    return np.array_equal(back, vals, equal_nan=pa.types.is_floating(t))
+    fit = back == vals
+    return fit | (np.isnan(vals) & np.isnan(back)) if pa.types.is_floating(t) else fit
 
 
 def write_dv_updates(
@@ -129,7 +134,7 @@ def write_dv_updates(
         sch = pq.read_schema(segment_path(index_dir, pid))
         if field == "doc_id" or field not in sch.names or not is_numeric(sch.field(field).type):
             raise KeyError(f"not an updatable numeric doc-values field: {field!r}")
-        if not _fits(sch.field(field).type, vals[pids == pid]):
+        if not _fitting(sch.field(field).type, vals[pids == pid]).all():
             raise ValueError(f"a value does not fit doc-values field {field!r} ({sch.field(field).type})")
     for pid in touched:
         path = segment_path(index_dir, pid).with_name(_DV_UPDATES)

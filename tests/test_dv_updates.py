@@ -162,3 +162,46 @@ def test_dv_update_refuses_a_value_its_column_cannot_hold(ray_session, index, tm
         assert s.stats_field("error", "turn_idx")["count"] == before["count"]
     finally:
         s.close()
+
+
+def test_dv_sidecar_value_its_column_cannot_hold_reads_as_built(ray_session, index, tmp_path):  # noqa: F811
+    """A `dv_updates.parquet` written before values were checked may hold
+    2.5 or NaN for the integer `turn_idx`: reads skip those rows (the
+    built value shows) and still apply the integral one, with no cast
+    warning and no change of column type."""
+    import shutil
+    import warnings
+    from pathlib import Path
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from lucene_solr_ray.index import segments
+
+    idx = str(tmp_path / "idx")
+    shutil.copytree(INDEX_DIR, idx)
+    s = Searcher(idx, use_ray=False)
+    try:
+        built = s.fetch_fields([0, 1, 2], ["turn_idx"])["turn_idx"].tolist()
+    finally:
+        s.close()
+    side = Path(idx) / "segments" / "pid=00000" / "dv_updates.parquet"
+    pq.write_table(
+        pa.table({
+            "doc_id": pa.array([0, 1, 2], pa.int64()),
+            "field": ["turn_idx"] * 3,
+            "value": pa.array([2.5, float("nan"), 7.0], pa.float64()),
+        }),
+        side,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        t = segments.read([segments.segment_path(idx, 0)], ["turn_idx"], docs=[0, 1, 2])
+        assert pa.types.is_integer(t.schema.field("turn_idx").type)
+        assert t.column("turn_idx").to_pylist() == [built[0], built[1], 7]
+        s = Searcher(idx, use_ray=False)
+        try:
+            assert s.fetch_fields([0, 1, 2], ["turn_idx"])["turn_idx"].tolist() == [built[0], built[1], 7]
+            assert s.stats_field("*:*", "turn_idx")["count"] > 0
+        finally:
+            s.close()
