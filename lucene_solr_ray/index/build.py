@@ -58,7 +58,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-from ..analysis import analyze_batch, index_tokenizer, tokenize
+from ..analysis import analyze_batch, index_tokenizer
 from ..analysis.icu import tokenized_analyze_batch
 from . import codec
 from .manifest import Manifest
@@ -132,33 +132,35 @@ def plan_files(input_paths: list[str]) -> list[FileSpec]:
 def sample_hot_terms(paths: list[str], sample_docs: int = 4000) -> list[str]:
     """One cheap sample pass → terms whose estimated df fraction is hot.
 
-    Reads the first row-group of up to 4 spread-out files.  The returned set
+    Reads the first `sample_docs // 4` docs of the first row group of up to
+    4 spread-out files, analyzes them in one `analyze_batch` call and counts
+    each term's df as its distinct (row, term) pairs.  The returned set
     drives salted shuffle keys (SURVEY.md §4 skew row).
     """
     take = max(1, sample_docs // 4)
     idxs = sorted({0, len(paths) // 3, (2 * len(paths)) // 3, len(paths) - 1})
-    df_counts: dict[str, int] = {}
+    texts: list[pa.Array] = []
     hot_kw: set[str] = set()
-    n = 0
     for i in idxs:
         f = pq.ParquetFile(paths[i])
         names = f.schema_arrow.names
         cols = ["text"] + [k for k in KEYWORD_FIELDS if k in names]
         t = f.read_row_group(0, columns=cols)
-        texts = t.column("text").to_pylist()[:take]
-        for txt in texts:
-            n += 1
-            for term in {t for t, _ in tokenize(txt or "")}:
-                df_counts[term] = df_counts.get(term, 0) + 1
+        texts.append(t.column("text").slice(0, take).cast(pa.string()))
         # keyword-field terms are intrinsically hot (df ~ corpus fraction)
         for k in KEYWORD_FIELDS:
             if k in names:
                 for v in pc.unique(t.column(k)).to_pylist():
                     if v is not None:
                         hot_kw.add(f"{k}:{v}")
+    n = sum(len(c) for c in texts)
     if n == 0:
         return []
-    return sorted({t for t, c in df_counts.items() if c / n >= HOT_DF_FRAC} | hot_kw)
+    tok = analyze_batch(pa.chunked_array(texts, type=pa.string()))
+    codes, uniq = pd.factorize(tok["term"])
+    pairs = np.unique(tok["row"] * len(uniq) + codes)  # distinct (row, term)
+    df = np.bincount(pairs % len(uniq), minlength=len(uniq))
+    return sorted(set(uniq[df / n >= HOT_DF_FRAC]) | hot_kw)
 
 
 KEYWORD_FIELDS = ("role", "tool")
@@ -335,9 +337,10 @@ def invert_partition(
 
     # salted shuffle keys for hot terms
     salts = np.zeros(n_terms, dtype=np.int32)
-    if hot_terms:
-        hot_mask = np.isin(terms_arr, np.asarray(hot_terms, dtype=object))
-        salts[hot_mask] = salt
+    if hot_terms:  # terms_arr is sorted and unique: binary search, exact matches only
+        hot = np.asarray(hot_terms, dtype=object)
+        at = np.minimum(np.searchsorted(terms_arr, hot), n_terms - 1)
+        salts[at[terms_arr[at] == hot]] = salt
     term_keys = terms_arr.copy()
     for i in np.flatnonzero(salts != 0):  # hot terms only — a handful per partition
         term_keys[i] = f"{terms_arr[i]}{SALT_SEP}{salts[i]}"
@@ -365,6 +368,19 @@ def invert_partition(
     return partial, norms
 
 
+def _binary_cells(buf: bytes, offsets: np.ndarray) -> pa.Array:
+    """A `pa.binary()` column of len(offsets) - 1 cells cut from one byte
+    buffer at `offsets` (int64, first 0, last len(buf)), without a Python
+    object per cell."""
+    if offsets[-1] > np.iinfo(np.int32).max:
+        raise OverflowError(
+            f"{offsets[-1]} bytes in one postings column of a bucket: over the "
+            "int32 offsets of pa.binary(); a smaller ROWS_PER_BUCKET gives the shard more buckets"
+        )
+    bufs = [None, pa.py_buffer(offsets.astype(np.int32)), pa.py_buffer(buf)]
+    return pa.Array.from_buffers(pa.binary(), len(offsets) - 1, bufs)
+
+
 def merge_bucket(group: pa.Table, codec_name: str = "varbyte") -> pa.Table:
     """Merge ALL (term, salt) groups inside one shuffle bucket — vectorized.
 
@@ -372,8 +388,9 @@ def merge_bucket(group: pa.Table, codec_name: str = "varbyte") -> pa.Table:
     (ms per group × |vocab| groups), so the shuffle key is
     `bucket = hash(term_key) % B` and this function merges a whole bucket in
     segmented numpy: one global sort by (term_key, pid), one flatten, one
-    segmented delta + varbyte encode for every term at once, then per-term
-    byte-buffer slicing (a cheap memoryview loop).  Equivalent to a
+    segmented delta + varbyte encode for every term at once, and each
+    binary column built from that one buffer and its per-term byte offsets
+    (`_binary_cells`, no per-term `bytes`).  Equivalent to a
     per-term merge (property-tested against the reference `merge_group` in
     tests/test_merge_bucket.py); the analog of Lucene's
     SegmentMerger + Lucene84PostingsWriter running per term dictionary
@@ -413,31 +430,15 @@ def merge_bucket(group: pa.Table, codec_name: str = "varbyte") -> pa.Table:
     if not (np.diff(docs)[~entry_term_start[1:]] > 0).all():
         raise AssertionError("postings not strictly increasing within a term")
 
-    # encode docs (delta resets at term starts) + freqs; the varbyte path
-    # encodes the whole bucket once with per-value lengths so per-term
-    # buffers are slices of one global encode
+    # delta streams of the whole bucket: docs restart at term starts,
+    # positions at every posting
     d_deltas = codec.delta_encode_resets(docs, entry_term_start)
-    norms_buf = memoryview(norms.astype(np.uint8).tobytes())
     p_vals_off = np.zeros(E + 1, dtype=np.int64)
     np.cumsum(freqs, out=p_vals_off[1:])
-    if positions.size:
-        pos_reset = np.zeros(positions.size, dtype=bool)
-        pos_reset[p_vals_off[:-1][freqs > 0]] = True
-        p_deltas = codec.delta_encode_resets(positions, pos_reset)
-    else:
-        p_deltas = np.zeros(0, dtype=np.int64)
+    pos_reset = np.zeros(positions.size, dtype=bool)
+    pos_reset[p_vals_off[:-1][freqs > 0]] = True
+    p_deltas = codec.delta_encode_resets(positions, pos_reset)
     term_pos_off = p_vals_off[term_entry_off]  # position-value offset per term boundary
-    if codec_name != "for":
-        docs_buf = memoryview(codec.varbyte_encode(d_deltas))
-        d_len_off = np.zeros(E + 1, dtype=np.int64)
-        np.cumsum(codec.varbyte_lengths(d_deltas), out=d_len_off[1:])
-        freqs_buf = memoryview(codec.varbyte_encode(freqs))
-        f_len_off = np.zeros(E + 1, dtype=np.int64)
-        np.cumsum(codec.varbyte_lengths(freqs), out=f_len_off[1:])
-        pos_buf = memoryview(codec.varbyte_encode(p_deltas))
-        p_len = codec.varbyte_lengths(p_deltas) if p_deltas.size else np.zeros(0, dtype=np.int64)
-        p_len_off = np.zeros(positions.size + 1, dtype=np.int64)
-        np.cumsum(p_len, out=p_len_off[1:])
 
     # per-term stats
     cf = np.add.reduceat(freqs, term_entry_off[:-1]) if E else np.zeros(T, dtype=np.int64)
@@ -457,24 +458,23 @@ def merge_bucket(group: pa.Table, codec_name: str = "varbyte") -> pa.Table:
     blk_maxf = np.maximum.reduceat(freqs, blk_start) if total_blocks else np.zeros(0, np.int64)
     blk_minn = np.minimum.reduceat(norms, blk_start) if total_blocks else np.zeros(0, np.int64)
 
-    # per-term buffers: varbyte slices one global encode (memoryview
-    # slicing, cheap); the FOR/PFOR codec is block-framed per term, so it
-    # encodes each term's delta segment directly (loop over TERMS in the
-    # bucket — never over postings)
-    norms_b = [bytes(norms_buf[term_entry_off[i] : term_entry_off[i + 1]]) for i in range(T)]
+    # postings cells: each column is one byte buffer cut at per-term
+    # offsets.  Varbyte encodes each stream of the whole bucket once; the
+    # FOR/PFOR codec is block-framed per term, so it encodes each term's
+    # segment on its own (a loop over TERMS in the bucket, never postings)
+    norms_col = _binary_cells(norms.astype(np.uint8).tobytes(), term_entry_off)
     if codec_name == "for":
         from .for_codec import for_encode
 
-        docs_b = [for_encode(d_deltas[term_entry_off[i] : term_entry_off[i + 1]]) for i in range(T)]
-        freqs_b = [for_encode(freqs[term_entry_off[i] : term_entry_off[i + 1]]) for i in range(T)]
-        pos_b = [for_encode(p_deltas[term_pos_off[i] : term_pos_off[i + 1]]) for i in range(T)]
+        def cells(vals, off):
+            return pa.array([for_encode(vals[off[i] : off[i + 1]]) for i in range(T)], type=pa.binary())
     else:
-        d_off_t = d_len_off[term_entry_off]
-        f_off_t = f_len_off[term_entry_off]
-        p_off_t = p_len_off[term_pos_off]
-        docs_b = [bytes(docs_buf[d_off_t[i] : d_off_t[i + 1]]) for i in range(T)]
-        freqs_b = [bytes(freqs_buf[f_off_t[i] : f_off_t[i + 1]]) for i in range(T)]
-        pos_b = [bytes(pos_buf[p_off_t[i] : p_off_t[i + 1]]) for i in range(T)]
+
+        def cells(vals, off):
+            lens = codec.varbyte_lengths(vals)
+            byte_off = np.zeros(vals.size + 1, dtype=np.int64)
+            np.cumsum(lens, out=byte_off[1:])
+            return _binary_cells(codec.varbyte_encode(vals, lens), byte_off[off])
 
     first_rows = term_row_start
     terms_out = group.column("term").take(pa.array(first_rows))
@@ -488,10 +488,10 @@ def merge_bucket(group: pa.Table, codec_name: str = "varbyte") -> pa.Table:
             "cf": pa.array(cf.astype(np.int64)),
             "first_doc": pa.array(first_doc),
             "last_doc": pa.array(last_doc),
-            "docs": pa.array(docs_b, type=pa.binary()),
-            "freqs": pa.array(freqs_b, type=pa.binary()),
-            "norms": pa.array(norms_b, type=pa.binary()),
-            "positions": pa.array(pos_b, type=pa.binary()),
+            "docs": cells(d_deltas, term_entry_off),
+            "freqs": cells(freqs, term_entry_off),
+            "norms": norms_col,
+            "positions": cells(p_deltas, term_pos_off),
             "blk_last_doc": pa.ListArray.from_arrays(blk_off32, pa.array(blk_last, type=pa.int64())),
             "blk_max_freq": pa.ListArray.from_arrays(blk_off32, pa.array(blk_maxf.astype(np.int32))),
             "blk_min_norm": pa.ListArray.from_arrays(blk_off32, pa.array(blk_minn.astype(np.int32))),

@@ -46,23 +46,20 @@ def varbyte_lengths(values: np.ndarray) -> np.ndarray:
     return nbytes
 
 
-def varbyte_encode(values: np.ndarray) -> bytes:
+def varbyte_encode(values: np.ndarray, nbytes: np.ndarray | None = None) -> bytes:
     """Vectorized varbyte encode of a non-negative int array.
 
     Layout per value: little-endian 7-bit groups; every byte except the last
-    has the high bit set.
+    has the high bit set.  `nbytes` is `varbyte_lengths(values)` when the
+    caller already has it (the bucketed merge also needs the per-value
+    offsets).
     """
     v = np.asarray(values, dtype=np.uint64)
     n = v.size
     if n == 0:
         return b""
-    # bytes needed per value: ceil(bit_length/7), min 1
-    nbytes = np.ones(n, dtype=np.int64)
-    tmp = v >> np.uint64(7)
-    while np.any(tmp):
-        nz = tmp > 0
-        nbytes[nz] += 1
-        tmp = tmp >> np.uint64(7)
+    if nbytes is None:
+        nbytes = varbyte_lengths(v)
     total = int(nbytes.sum())
     out = np.empty(total, dtype=np.uint8)
     # position of each value's first byte

@@ -121,7 +121,7 @@ def for_encode(values: np.ndarray) -> bytes:
     if exc_bi.size:
         highs = (vp[exc_bi, exc_pos] >> widths[exc_bi].astype(np.uint64)).astype(np.int64)
         hi_lens = varbyte_lengths(highs)
-        hi_all = varbyte_encode(highs)
+        hi_all = varbyte_encode(highs, hi_lens)
         hi_seg = np.zeros(exc_bi.size + 1, dtype=np.int64)  # per-VALUE byte offsets
         np.cumsum(hi_lens, out=hi_seg[1:])
         exc_off = np.zeros(n_blocks + 1, dtype=np.int64)  # per-BLOCK value offsets

@@ -22,6 +22,14 @@ def test_varbyte_large_gaps():
     assert (codec.varbyte_decode(codec.varbyte_encode(vals)) == vals).all()
 
 
+def test_varbyte_encode_takes_lengths():
+    vals = np.array([0, 1, 127, 128, 16383, 16384, 2**30, 2**40, 2**62], dtype=np.int64)
+    lens = codec.varbyte_lengths(vals)
+    assert lens.tolist() == [1, 1, 1, 2, 2, 3, 5, 6, 9]
+    assert codec.varbyte_encode(vals, lens) == codec.varbyte_encode(vals)
+    assert len(codec.varbyte_encode(vals)) == lens.sum()
+
+
 def test_decode_count_mismatch_raises():
     buf = codec.varbyte_encode(np.array([1, 2, 3]))
     with pytest.raises(ValueError):
