@@ -459,15 +459,15 @@ def merge_bucket(group: pa.Table, codec_name: str = "varbyte") -> pa.Table:
     blk_minn = np.minimum.reduceat(norms, blk_start) if total_blocks else np.zeros(0, np.int64)
 
     # postings cells: each column is one byte buffer cut at per-term
-    # offsets.  Varbyte encodes each stream of the whole bucket once; the
-    # FOR/PFOR codec is block-framed per term, so it encodes each term's
-    # segment on its own (a loop over TERMS in the bucket, never postings)
+    # offsets.  Both codecs encode each stream of the whole bucket once;
+    # FOR/PFOR frames each term's segment as its own stream (header, blocks
+    # that never straddle a term)
     norms_col = _binary_cells(norms.astype(np.uint8).tobytes(), term_entry_off)
     if codec_name == "for":
-        from .for_codec import for_encode
+        from .for_codec import for_encode_rows
 
         def cells(vals, off):
-            return pa.array([for_encode(vals[off[i] : off[i + 1]]) for i in range(T)], type=pa.binary())
+            return _binary_cells(*for_encode_rows(vals, off))
     else:
 
         def cells(vals, off):

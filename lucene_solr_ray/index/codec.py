@@ -8,9 +8,12 @@ This module is a from-scratch numpy implementation: classic varbyte (7 data
 bits per byte, high bit = continuation) over int64/int32 arrays, plus
 per-128-doc-block (last_doc, max_freq, min_norm_byte) metadata.
 
-Everything is vectorized — no per-value Python loops — because encode runs
-inside the posting-merge `map_groups` stage and decode runs in the hot query
-path of the index actors.
+Everything is vectorized — no per-value Python loops.  Encode runs once
+per stream of a whole merge bucket (`index/build.merge_bucket`).  Decode
+runs when an index actor opens: `decode_rows` decodes a column's rows in
+one call and `delta_decode_resets` restores docIDs (and positions) row by
+row, so the query path slices decoded arrays; only a term's positions
+decode per query, one call over its contiguous rows.
 """
 
 from __future__ import annotations
@@ -25,6 +28,9 @@ __all__ = [
     "varbyte_decode",
     "delta_encode",
     "delta_decode",
+    "delta_encode_resets",
+    "delta_decode_resets",
+    "decode_rows",
     "encode_postings",
     "decode_docs",
     "decode_freqs",
@@ -75,29 +81,33 @@ def varbyte_encode(values: np.ndarray, nbytes: np.ndarray | None = None) -> byte
     return out.tobytes()
 
 
-def varbyte_decode(buf: bytes, count: int | None = None) -> np.ndarray:
-    """Vectorized varbyte decode → int64 array."""
+def varbyte_decode(buf, count: int | None = None) -> np.ndarray:
+    """Vectorized varbyte decode of one or more concatenated streams → int64.
+
+    `buf` is anything with the buffer protocol (bytes, an Arrow buffer, a
+    uint8 array).  One masked OR pass per byte position (at most 10 for a
+    64-bit value): pass k ORs the k-th 7-bit group into the values longer
+    than k bytes."""
     b = np.frombuffer(buf, dtype=np.uint8)
-    if b.size == 0:
-        return np.empty(0, dtype=np.int64)
-    is_last = (b & 0x80) == 0
-    # value id per byte: number of completed values before this byte
-    val_id = np.zeros(b.size, dtype=np.int64)
-    np.cumsum(is_last[:-1], out=val_id[1:])
-    n = int(is_last.sum())
-    # position within value
-    starts_mask = np.ones(b.size, dtype=bool)
-    starts_mask[1:] = is_last[:-1]
-    start_idx = np.flatnonzero(starts_mask)
-    pos_in_val = np.arange(b.size, dtype=np.int64) - start_idx[val_id]
-    vals = np.zeros(n, dtype=np.uint64)
-    np.bitwise_or.at(
-        vals, val_id, (b.astype(np.uint64) & np.uint64(0x7F)) << (pos_in_val.astype(np.uint64) * np.uint64(7))
-    )
-    out = vals.astype(np.int64)
-    if count is not None and out.size != count:
-        raise ValueError(f"decoded {out.size} values, expected {count}")
-    return out
+    last = b < 0x80
+    ends = np.flatnonzero(last)  # last byte of each value
+    if b.size and (not ends.size or ends[-1] != b.size - 1):
+        raise ValueError("varbyte stream ends inside a value")
+    if count is not None and ends.size != count:
+        raise ValueError(f"decoded {ends.size} values, expected {count}")
+    low = b & np.uint8(0x7F)
+    starts = np.empty(ends.size, dtype=np.int64)
+    starts[:1] = 0
+    starts[1:] = ends[:-1] + 1
+    vals = low[starts].astype(np.uint64)
+    longer = np.flatnonzero(~last[starts])  # values with a k-th byte
+    k = 1
+    while longer.size:
+        at = starts[longer] + k
+        vals[longer] |= low[at].astype(np.uint64) << np.uint64(7 * k)
+        longer = longer[~last[at]]
+        k += 1
+    return vals.astype(np.int64)
 
 
 def delta_encode(sorted_vals: np.ndarray) -> np.ndarray:
@@ -128,6 +138,43 @@ def delta_decode(deltas: np.ndarray) -> np.ndarray:
     d = np.asarray(deltas, dtype=np.int64)
     out = np.cumsum(d)
     return out - 1
+
+
+def delta_decode_resets(deltas: np.ndarray, reset_mask: np.ndarray) -> np.ndarray:
+    """Inverse of `delta_encode_resets`: a running sum that restarts (from
+    an implicit previous of -1) wherever reset_mask is True, and at 0."""
+    d = np.asarray(deltas, dtype=np.int64)
+    if not d.size:
+        return d.copy()
+    cs = np.cumsum(d)
+    starts = np.flatnonzero(reset_mask)
+    if not starts.size or starts[0] != 0:
+        starts = np.concatenate([[0], starts])
+    carry = np.zeros(starts.size, dtype=np.int64)
+    carry[1:] = cs[starts[1:] - 1]
+    cs -= np.repeat(carry, np.diff(np.append(starts, d.size)))
+    cs -= 1
+    return cs
+
+
+def decode_rows(values, byte_offsets: np.ndarray, counts: np.ndarray, codec: str = "varbyte") -> np.ndarray:
+    """Decode the rows of a binary postings column in one pass → int64.
+
+    `values` holds the column's bytes, row i at
+    values[byte_offsets[i]:byte_offsets[i + 1]] (an Arrow binary value
+    buffer with its offsets), and `counts[i]` is row i's value count.  The
+    result is the rows' values back to back; deltas stay deltas
+    (`delta_decode_resets` restores them).  Varbyte streams are
+    self-delimiting, so the rows decode as one buffer; FOR rows each carry
+    a header, and `for_decode_rows` walks them all in one call."""
+    v = np.frombuffer(values, dtype=np.uint8)
+    o = np.asarray(byte_offsets, dtype=np.int64)
+    c = np.asarray(counts, dtype=np.int64)
+    if codec == "for":
+        from .for_codec import for_decode_rows
+
+        return for_decode_rows(v, o, c)
+    return varbyte_decode(v[o[0] : o[-1]], int(c.sum()))
 
 
 def encode_postings(docs: np.ndarray, freqs: np.ndarray) -> tuple[bytes, bytes]:
@@ -211,22 +258,9 @@ def encode_positions(positions: np.ndarray, freqs: np.ndarray) -> bytes:
 def decode_positions(buf: bytes, freqs: np.ndarray, codec: str = "varbyte") -> tuple[np.ndarray, np.ndarray]:
     """Decode → (flat positions, per-doc start offsets into the flat array)."""
     f = np.asarray(freqs, dtype=np.int64)
-    deltas = decode_ints(buf, None, codec)
     starts = np.zeros(f.size, dtype=np.int64)
     np.cumsum(f[:-1], out=starts[1:])
-    if deltas.size == 0:
-        return deltas, starts
-    # segmented cumsum: cumsum all, then subtract the carried prefix at each start
-    cs = np.cumsum(deltas)
-    carried = np.zeros_like(cs)
-    nz = starts[starts > 0]
-    carried_vals = cs[nz - 1]
-    adj = np.zeros(deltas.size, dtype=np.int64)
-    adj[nz] = carried_vals
-    # propagate each segment's carried prefix forward
-    seg_id = np.zeros(deltas.size, dtype=np.int64)
-    seg_id[nz] = 1
-    seg_id = np.cumsum(seg_id)
-    carry_per_seg = np.concatenate([[0], carried_vals]) if nz.size else np.zeros(1, dtype=np.int64)
-    flat = cs - carry_per_seg[seg_id] - 1
-    return flat, starts
+    deltas = decode_ints(buf, None, codec)
+    reset = np.zeros(deltas.size, dtype=bool)
+    reset[starts[f > 0]] = True
+    return delta_decode_resets(deltas, reset), starts

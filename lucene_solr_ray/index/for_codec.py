@@ -17,6 +17,10 @@ matrix.  Layout per array:
   (the high-bytes length makes the decode's header walk pure arithmetic;
   all blocks' exception varbytes then decode in ONE batched call)
 
+A postings column is one such array per term, back to back:
+`for_encode_rows` / `for_decode_rows` encode and decode a whole column in
+one call, and `for_encode` / `for_decode` are their one-array case.
+
 Registered as the second postings codec (codec SPI, SURVEY.md §2.11) and
 selectable at build time via `build_index(codec="for")`.
 """
@@ -27,7 +31,7 @@ import numpy as np
 
 from .codec import BLOCK_SIZE, varbyte_decode, varbyte_encode, varbyte_lengths
 
-__all__ = ["for_encode", "for_decode"]
+__all__ = ["for_encode", "for_encode_rows", "for_decode", "for_decode_rows"]
 
 MAX_EXCEPTIONS = 7  # PForUtil.MAX_EXCEPTIONS
 
@@ -67,103 +71,112 @@ def _choose_widths(bl: np.ndarray, cnt: np.ndarray) -> np.ndarray:
     return best_w.astype(np.int64)
 
 
-def _unpack_block(buf: memoryview, off: int, n: int) -> tuple[np.ndarray, int]:
-    width = buf[off]
-    n_exc = buf[off + 1]
-    high_len = buf[off + 2]
-    off += 3
-    if width == 0:
-        return np.zeros(n, dtype=np.int64), off
-    exc = np.frombuffer(buf[off : off + n_exc], dtype=np.uint8).astype(np.int64)
-    off += n_exc
-    if n_exc:
-        high = varbyte_decode(bytes(buf[off : off + high_len]), n_exc)
-        off += high_len
-    nbytes = (n * width + 7) // 8
-    bits = np.unpackbits(np.frombuffer(buf[off : off + nbytes], dtype=np.uint8), count=n * width)
-    bits = bits.reshape(n, width).astype(np.uint64)
-    shifts = np.arange(width - 1, -1, -1, dtype=np.uint64)
-    vals = (bits << shifts[None, :]).sum(axis=1).astype(np.int64)
-    if n_exc:
-        vals[exc] |= high << np.int64(width)
-    return vals, off + nbytes
+def _scatter(out: np.ndarray, dst: np.ndarray, lens: np.ndarray, src: np.ndarray) -> None:
+    """Copy the back-to-back pieces of `src` (piece i is lens[i] bytes
+    long) to out[dst[i] : dst[i] + lens[i]]."""
+    if src.size:
+        src_start = np.cumsum(lens) - lens
+        out[np.repeat(dst - src_start, lens) + np.arange(src.size)] = src
 
 
-def for_encode(values: np.ndarray) -> bytes:
-    """Encode a non-negative int array in PFOR-patched 128-value blocks.
-
-    Fully vectorized: width choice for every block at once
-    (`_choose_widths`), low bits packed with ONE `np.packbits` per
-    distinct width (same-width full blocks share a row matrix), exception
-    high parts varbyte-encoded in ONE batched call; the only per-block
-    Python is the final byte-slice assembly."""
-    v = np.asarray(values, dtype=np.int64)
-    if (v < 0).any():
-        raise ValueError("FOR codec requires non-negative values")
-    hdr = varbyte_encode(np.asarray([v.size], dtype=np.int64))
-    if v.size == 0:
-        return hdr
-    n_blocks = (v.size + BLOCK_SIZE - 1) // BLOCK_SIZE
-    pad = n_blocks * BLOCK_SIZE - v.size
-    vp = np.concatenate([v, np.zeros(pad, dtype=np.int64)]).reshape(n_blocks, BLOCK_SIZE).astype(np.uint64)
-    cnt = np.full(n_blocks, BLOCK_SIZE, dtype=np.int64)
-    cnt[-1] = v.size - (n_blocks - 1) * BLOCK_SIZE
-    bl = np.zeros((n_blocks, BLOCK_SIZE), dtype=np.int64)
+def _encode_blocks(v: np.ndarray, start: np.ndarray, cnt: np.ndarray):
+    """PFOR-encode the blocks v[start[i] : start[i] + cnt[i]] (cnt ≤
+    BLOCK_SIZE), all at once: width choice for every block
+    (`_choose_widths`), low bits packed with ONE `np.packbits` per distinct
+    width (a padded row matrix shared by full and tail blocks), exception
+    high parts varbyte-encoded in ONE batched call.  → per block (width,
+    n_exc, high-bytes length, packed length) and the back-to-back
+    exception positions, high bytes and packed bytes."""
+    m = start.size
+    cols = np.arange(BLOCK_SIZE, dtype=np.int64)
+    valid = cols[None, :] < cnt[:, None]
+    vp = np.where(valid, v[np.where(valid, start[:, None] + cols, 0)], 0).astype(np.uint64)
+    bl = np.zeros((m, BLOCK_SIZE), dtype=np.int64)
     nz = vp > 0
     if nz.any():
         bl[nz] = np.floor(np.log2(vp[nz].astype(np.float64))).astype(np.int64) + 1
     widths = _choose_widths(bl, cnt)
 
-    # exceptions, all blocks at once: positions + one batched varbyte of highs
     exc_mask = bl > widths[:, None]
-    exc_bi, exc_pos = np.nonzero(exc_mask)
+    exc_bi, exc_pos = np.nonzero(exc_mask)  # block-major, positions ascending
     n_exc = exc_mask.sum(axis=1).astype(np.int64)
-    if exc_bi.size:
-        highs = (vp[exc_bi, exc_pos] >> widths[exc_bi].astype(np.uint64)).astype(np.int64)
-        hi_lens = varbyte_lengths(highs)
-        hi_all = varbyte_encode(highs, hi_lens)
-        hi_seg = np.zeros(exc_bi.size + 1, dtype=np.int64)  # per-VALUE byte offsets
-        np.cumsum(hi_lens, out=hi_seg[1:])
-        exc_off = np.zeros(n_blocks + 1, dtype=np.int64)  # per-BLOCK value offsets
-        np.cumsum(n_exc, out=exc_off[1:])
-        exc_pos_u8 = exc_pos.astype(np.uint8)
-    else:
-        hi_all, hi_seg, exc_off, exc_pos_u8 = b"", np.zeros(1, np.int64), np.zeros(n_blocks + 1, np.int64), None
+    highs = (vp[exc_bi, exc_pos] >> widths[exc_bi].astype(np.uint64)).astype(np.int64)
+    hi_lens = varbyte_lengths(highs)
+    hi = np.frombuffer(varbyte_encode(highs, hi_lens), dtype=np.uint8)
+    hi_len = np.bincount(exc_bi, weights=hi_lens, minlength=m).astype(np.int64)
 
-    # pack low bits: one packbits per distinct width; full AND tail blocks
-    # share the padded (m, BLOCK_SIZE) matrix — a tail's trailing pad values
-    # are 0, so truncating its row to ceil(cnt·w/8) bytes is exact
-    packed: dict[int, np.ndarray] = {}
-    rowof = np.zeros(n_blocks, dtype=np.int64)
+    # a tail's trailing pad values are 0, so truncating its row of the
+    # padded matrix to ceil(cnt·w/8) bytes is exact
+    pl = (cnt * widths + 7) // 8
+    packed = np.empty(int(pl.sum()), dtype=np.uint8)
+    pk_start = np.cumsum(pl) - pl
     for w in np.unique(widths):
         w = int(w)
         if w == 0:
             continue
         sel = np.flatnonzero(widths == w)
-        rowof[sel] = np.arange(sel.size)
         low = (vp[sel] & np.uint64((1 << w) - 1)).astype(">u8")  # mask is a Python int: safe at w=64
         # big-endian byte view + one unpackbits pass, then keep the low w
         # bits per value — avoids the (m,128,w) uint64 shift intermediate
         u8 = low.view(np.uint8).reshape(sel.size, -1)
         bits = np.unpackbits(u8, axis=1).reshape(sel.size, BLOCK_SIZE, 64)[:, :, 64 - w :]
-        packed[w] = np.packbits(np.ascontiguousarray(bits).reshape(sel.size, -1), axis=1)
+        rows = np.packbits(np.ascontiguousarray(bits).reshape(sel.size, -1), axis=1)
+        keep = np.arange(rows.shape[1])[None, :] < pl[sel][:, None]
+        packed[(pk_start[sel][:, None] + np.arange(rows.shape[1]))[keep]] = rows[keep]
+    return widths, n_exc, hi_len, pl, exc_pos.astype(np.uint8), hi, packed
 
-    out = [hdr]
-    for b in range(n_blocks):
-        w = int(widths[b])
-        ne = int(n_exc[b])
-        if ne:
-            s, e = exc_off[b], exc_off[b + 1]
-            hi_b = hi_all[hi_seg[s] : hi_seg[e]]
-            head = bytes([w, ne, len(hi_b)]) + exc_pos_u8[s:e].tobytes() + hi_b
-        else:
-            head = bytes([w, 0, 0])
-        if w == 0:
-            out.append(head)
-            continue
-        row = packed[w][rowof[b]]
-        out.append(head + row[: (int(cnt[b]) * w + 7) // 8].tobytes())
-    return b"".join(out)
+
+_CHUNK_BLOCKS = 8192  # blocks per `_encode_blocks` call: bounds its (blocks × 128) matrices
+
+
+def for_encode_rows(values: np.ndarray, offsets: np.ndarray) -> tuple[bytes, np.ndarray]:
+    """PFOR-encode each row values[offsets[i] : offsets[i + 1]] as its own
+    stream (`for_encode`'s layout: header, then blocks that never straddle
+    a row), all rows at once.  → (the streams back to back, int64 byte
+    offsets of each row's stream).  The bucketed merge encodes a whole
+    column with one call and cuts it at these offsets."""
+    v = np.asarray(values, dtype=np.int64)
+    if (v < 0).any():
+        raise ValueError("FOR codec requires non-negative values")
+    off = np.asarray(offsets, dtype=np.int64)
+    n_t = np.diff(off)
+    T = n_t.size
+    nb = (n_t + BLOCK_SIZE - 1) // BLOCK_SIZE
+    n_blocks = int(nb.sum())
+    row_of_block = np.repeat(np.arange(T, dtype=np.int64), nb)
+    first_block = np.cumsum(nb) - nb
+    start = off[:-1][row_of_block] + (np.arange(n_blocks, dtype=np.int64) - first_block[row_of_block]) * BLOCK_SIZE
+    cnt = np.minimum(BLOCK_SIZE, off[1:][row_of_block] - start)
+    parts = [_encode_blocks(v, start[c : c + _CHUNK_BLOCKS], cnt[c : c + _CHUNK_BLOCKS])
+             for c in range(0, n_blocks, _CHUNK_BLOCKS)]
+    widths, n_exc, hi_len, pl, exc_pos, hi, packed = (
+        [np.concatenate(p) for p in zip(*parts)] if parts else [np.zeros(0, np.int64)] * 7
+    )
+
+    # layout: each row's varint header, then its blocks; one item each
+    hdr_lens = varbyte_lengths(n_t)
+    hdr = np.frombuffer(varbyte_encode(n_t, hdr_lens), dtype=np.uint8)
+    hdr_item = first_block + np.arange(T, dtype=np.int64)
+    blk_item = np.arange(n_blocks, dtype=np.int64) + row_of_block + 1
+    item_len = np.empty(T + n_blocks, dtype=np.int64)
+    item_len[hdr_item] = hdr_lens
+    item_len[blk_item] = 3 + n_exc + hi_len + pl
+    item_start = np.cumsum(item_len) - item_len
+    out = np.empty(int(item_len.sum()), dtype=np.uint8)
+    _scatter(out, item_start[hdr_item], hdr_lens, hdr)
+    # per block: width | n_exc | high-bytes length, positions, highs, packed
+    bs = item_start[blk_item]
+    out[bs], out[bs + 1], out[bs + 2] = widths, n_exc, hi_len
+    _scatter(out, bs + 3, n_exc, exc_pos)
+    _scatter(out, bs + 3 + n_exc, hi_len, hi)
+    _scatter(out, bs + 3 + n_exc + hi_len, pl, packed)
+    return out.tobytes(), np.append(item_start[hdr_item], out.size)
+
+
+def for_encode(values: np.ndarray) -> bytes:
+    """Encode a non-negative int array in PFOR-patched 128-value blocks
+    (one row of `for_encode_rows`)."""
+    return for_encode_rows(values, np.array([0, np.size(values)]))[0]
 
 
 def _extract_packed(raw_pad: np.ndarray, bit_offsets: np.ndarray, width: int) -> np.ndarray:
@@ -182,89 +195,68 @@ def _extract_packed(raw_pad: np.ndarray, bit_offsets: np.ndarray, width: int) ->
     return ((w64 >> (np.uint64(64 - width) - rem)) & mask).astype(np.int64)
 
 
-def for_decode(buf: bytes, count: int | None = None) -> np.ndarray:
-    """Decode: one cheap header walk collects (width, offsets, patches),
-    then ALL full blocks of the same width unpack in a single vectorized
-    np.unpackbits pass (the per-block Python work is header-sized only)."""
-    mv = memoryview(buf)
+def for_decode_rows(buf, byte_offsets: np.ndarray, counts: np.ndarray | None = None) -> np.ndarray:
+    """Decode the streams buf[byte_offsets[i] : byte_offsets[i + 1]] (each
+    laid out by `for_encode`) → their values back to back, int64.  One
+    cheap header walk over every stream's blocks collects (width, offsets,
+    patches); then all blocks of one width unpack in a single vectorized
+    gather and every exception patches in one pass, so the per-block Python
+    work is header-sized only.  `counts[i]`, when given, must equal stream
+    i's value count."""
     raw = np.frombuffer(buf, dtype=np.uint8)
-    # varint header: find its end (first byte with high bit clear)
-    hdr_len = 1
-    while mv[hdr_len - 1] & 0x80:
-        hdr_len += 1
-    n = int(varbyte_decode(bytes(mv[:hdr_len]), 1)[0])
-    if count is not None and n != count:
-        raise ValueError(f"decoded {n} values, expected {count}")
-    out = np.zeros(n, dtype=np.int64)
-    off = hdr_len
-    # header walk (pure arithmetic): group full blocks by width; exception
-    # byte ranges are COLLECTED and decoded in one batched varbyte pass
-    by_width: dict[int, list[tuple[int, int]]] = {}
-    exc_meta: list[tuple[int, int, int, int, int]] = []  # (b, width, n_exc, hi_off, hi_len)
-    tail: tuple[int, int, int] | None = None
-    for b in range(0, n, BLOCK_SIZE):
-        cnt = min(BLOCK_SIZE, n - b)
-        width = mv[off]
-        n_exc = mv[off + 1]
-        high_len = mv[off + 2]
-        off += 3
-        if n_exc:
-            exc_meta.append((b, width, n_exc, off + n_exc, high_len))
-            off += n_exc + high_len
-        if width:
-            nbytes = (cnt * width + 7) // 8
-            if cnt == BLOCK_SIZE:
-                by_width.setdefault(width, []).append((b, off))
-            else:
-                tail = (b, off, width)
-            off += nbytes
-    patches: list[tuple[int, np.ndarray, np.ndarray]] = []
-    if exc_meta:
-        hi_idx = np.concatenate(
-            [np.arange(ho, ho + hl, dtype=np.int64) for _, _, _, ho, hl in exc_meta]
-        )
-        all_high = varbyte_decode(raw[hi_idx].tobytes())
-        counts = np.asarray([ne for _, _, ne, _, _ in exc_meta], dtype=np.int64)
-        offs = np.zeros(counts.size + 1, dtype=np.int64)
-        np.cumsum(counts, out=offs[1:])
-        for i, (b, width, ne, ho, hl) in enumerate(exc_meta):
-            exc = np.frombuffer(mv[ho - ne : ho], dtype=np.uint8).astype(np.int64)
-            patches.append((b, exc, all_high[offs[i] : offs[i + 1]] << np.int64(width)))
-    raw_pad: np.ndarray | None = None  # zero-padded copy for 8-byte windows
-
-    def padded() -> np.ndarray:
-        nonlocal raw_pad
-        if raw_pad is None:
-            raw_pad = np.concatenate([raw, np.zeros(8, dtype=np.uint8)])
-        return raw_pad
-
-    shifts_cache: dict[int, np.ndarray] = {}
-    for width, blocks in by_width.items():
-        starts = np.asarray([o for _, o in blocks], dtype=np.int64)
-        outs = np.asarray([b for b, _ in blocks], dtype=np.int64)
-        oidx = outs[:, None] + np.arange(BLOCK_SIZE, dtype=np.int64)[None, :]
-        if width <= 56:
-            bit0 = starts[:, None] * 8 + (np.arange(BLOCK_SIZE, dtype=np.int64) * width)[None, :]
-            out[oidx.ravel()] = _extract_packed(padded(), bit0.ravel(), width)
-            continue
-        nbytes = (BLOCK_SIZE * width + 7) // 8
-        idx = starts[:, None] + np.arange(nbytes, dtype=np.int64)[None, :]
-        bits = np.unpackbits(raw[idx.ravel()].reshape(-1, nbytes), axis=1, count=BLOCK_SIZE * width)
-        bits = bits.reshape(len(blocks), BLOCK_SIZE, width).astype(np.uint64)
-        shifts = shifts_cache.setdefault(width, np.arange(width - 1, -1, -1, dtype=np.uint64))
-        vals = (bits << shifts[None, None, :]).sum(axis=2).astype(np.int64)
-        out[oidx.ravel()] = vals.ravel()
-    if tail is not None:
-        b, o, width = tail
-        cnt = n - b
-        if width <= 56:
-            bit0 = o * 8 + np.arange(cnt, dtype=np.int64) * width
-            out[b:] = _extract_packed(padded(), bit0, width)
-        else:
-            nbytes = (cnt * width + 7) // 8
-            bits = np.unpackbits(raw[o : o + nbytes], count=cnt * width).reshape(cnt, width).astype(np.uint64)
-            shifts = np.arange(width - 1, -1, -1, dtype=np.uint64)
-            out[b:] = (bits << shifts[None, :]).sum(axis=1).astype(np.int64)
-    for b, exc, high in patches:
-        out[b + exc] |= high
+    mv = memoryview(raw)
+    blocks: list[tuple[int, int, int, int]] = []  # (out pos, count, width, packed offset)
+    excs: list[tuple[int, int, int, int, int]] = []  # (out pos, width, n_exc, positions offset, high len)
+    total = 0
+    bo = [int(x) for x in byte_offsets]
+    for r in range(len(bo) - 1):
+        off, n, shift = bo[r], 0, 0
+        while True:  # the stream's varint value count
+            byte = mv[off]
+            off += 1
+            n |= (byte & 0x7F) << shift
+            shift += 7
+            if byte < 0x80:
+                break
+        if counts is not None and n != counts[r]:
+            raise ValueError(f"decoded {n} values, expected {counts[r]}")
+        for b in range(total, total + n, BLOCK_SIZE):
+            cnt = min(BLOCK_SIZE, total + n - b)
+            width, n_exc, high_len = mv[off], mv[off + 1], mv[off + 2]
+            off += 3
+            if n_exc:
+                excs.append((b, width, n_exc, off, high_len))
+                off += n_exc + high_len
+            if width:
+                blocks.append((b, cnt, width, off))
+                off += (cnt * width + 7) // 8
+        total += n
+    out = np.zeros(total, dtype=np.int64)
+    if blocks:
+        bk = np.asarray(blocks, dtype=np.int64)
+        raw_pad = np.concatenate([raw, np.zeros(8, dtype=np.uint8)])  # 8-byte windows
+        j = np.arange(BLOCK_SIZE, dtype=np.int64)
+        for width in np.unique(bk[:, 2]):
+            w = int(width)
+            g = bk[bk[:, 2] == w]
+            if w <= 56:
+                m = j[None, :] < g[:, 1:2]
+                out[(g[:, :1] + j)[m]] = _extract_packed(raw_pad, (g[:, 3:4] * 8 + j * w)[m], w)
+                continue
+            shifts = np.arange(w - 1, -1, -1, dtype=np.uint64)
+            for b, cnt, _, o in g.tolist():  # wider than 56 bits: rare
+                bits = np.unpackbits(raw[o : o + (cnt * w + 7) // 8], count=cnt * w)
+                out[b : b + cnt] = (bits.reshape(cnt, w).astype(np.uint64) << shifts).sum(axis=1).astype(np.int64)
+    if excs:
+        ex = np.asarray(excs, dtype=np.int64)
+        ne, hl = ex[:, 2], ex[:, 4]
+        pos = raw[np.repeat(ex[:, 3] - (np.cumsum(ne) - ne), ne) + np.arange(int(ne.sum()))].astype(np.int64)
+        hi_at = np.repeat(ex[:, 3] + ne - (np.cumsum(hl) - hl), hl) + np.arange(int(hl.sum()))
+        high = varbyte_decode(raw[hi_at], int(ne.sum()))
+        out[np.repeat(ex[:, 0], ne) + pos] |= high << np.repeat(ex[:, 1], ne)
     return out
+
+
+def for_decode(buf, count: int | None = None) -> np.ndarray:
+    """Decode one `for_encode` stream (one row of `for_decode_rows`)."""
+    return for_decode_rows(buf, [0, len(buf)], None if count is None else [count])

@@ -2,9 +2,11 @@
 
 The Ray analog of a SolrCloud shard replica + Lucene IndexSearcher leaf
 (SURVEY.md §2.4 "Query-serving searcher"): a plain class (wrapped with
-`ray.remote` by the Searcher) that loads its shard's encoded postings into
-memory ONCE in `__init__`.  Queries arrive as `collect(node, idfs, sim,
-specs)`: the match set evaluates ONCE and every asked-for collector
+`ray.remote` by the Searcher) that loads its shard's postings ONCE in
+`__init__` and decodes every docID and freq there into flat arrays, so a
+term's postings are slices (positions stay encoded until asked for).
+Queries arrive as `collect(node, idfs, sim, specs)`: the match set
+evaluates ONCE and every asked-for collector
 (`COLLECT` — the ranked page, counts, facets, stats, groups, field sorts,
 collapse, function scores, joins) reduces it to one bounded partial, and
 the shard's one result cache keys the whole request.  A lone `top_scores`
@@ -12,7 +14,7 @@ page is Lucene's `ScoreMode.TOP_SCORES`: `top_k` may skip non-competitive
 docs (WAND/block-max).  All per-query work is vectorized numpy over
 decoded posting arrays:
 
-- TermQuery    → decode (docs, freqs, norms), score via bm25.score_postings
+- TermQuery    → slice (docs, freqs, norms), score via bm25.score_postings
   (lucene/core/.../search/TermQuery.java + TermScorer.java)
 - BooleanQuery → sorted-array intersect/union/difference with score
   accumulation (BooleanWeight / ConjunctionDISI / DisjunctionSumScorer)
@@ -124,18 +126,20 @@ class IndexShard:
                 "run's docIDs (a postings file or shard dir opened twice?)"
             )
         # a term's df = Σ its runs' dfs (salted runs partition the doc space)
-        self._local_dfs = np.add.reduceat(self._col["df"].to_numpy(), self._run_starts[:-1])
+        df = self._col["df"].to_numpy()
+        self._local_dfs = np.add.reduceat(df, self._run_starts[:-1])
+        self._codec = codec_name
+        self._decode_postings(df)
         # block-max lists flattened once: rows [lo, hi) own values[offsets[lo]:offsets[hi]]
         blk = (self._col[c] for c in ("blk_last_doc", "blk_max_freq", "blk_min_norm"))
         self._blk = [(a.offsets.to_numpy(), a.values.to_numpy().astype(np.int64)) for a in blk]
         self.norm_cache = norm_cache
-        self._codec = codec_name
         self._avgdls = avgdls or {}
         self._dfr_tables: dict[str, np.ndarray] = {}
         self._axio_tables: dict[str, np.ndarray] = {}
-        # bounded decoded-postings cache (the filter/documentCache analog,
-        # solr FastLRUCache): unbounded decode caches leak in a long-lived
-        # serving actor
+        # bounded cache of decoded positions, the one postings stream that
+        # stays encoded (solr FastLRUCache): unbounded decode caches leak in
+        # a long-lived serving actor
         from ..state import LRUCache
 
         self._cache = LRUCache(max_items=50_000)
@@ -144,24 +148,64 @@ class IndexShard:
         self._result_cache = LRUCache(max_items=1024)
         self._prune_candidates = 0
         self._prune_survivors = 0
-        # per-shard tombstones (live-docs bitset analog): masked ONCE at
-        # posting decode, so every read path sees only live docs and the
-        # driver never over-fetches k + |deletes|
+        # per-shard tombstones (live-docs bitset analog): `_postings` masks
+        # its slices with `_post_live`, so every read path sees only live
+        # docs and the driver never over-fetches k + |deletes|
         self._dead = np.empty(0, dtype=np.int64)
+        self._post_live: np.ndarray | None = None
         self._segment_paths = list(segment_paths or ())
         self._doc_columns: dict[tuple[str, bool], tuple | None] = {}
+
+    def _decode_postings(self, df: np.ndarray) -> None:
+        """Decode every row's docIDs and freqs once, into flat read-only
+        arrays: row r owns postings [_post_off[r], _post_off[r + 1]), so a
+        term's contiguous rows are one slice (Lucene84PostingsReader's bulk
+        block decode, never a value at a time).  Norms are one byte per
+        posting, read from their value buffer as is.  Positions stay
+        encoded; `_positions` decodes a term's rows on demand.  Docs stay
+        int64: the phrase key doc * _POS_LIMIT would overflow int32."""
+        import time
+
+        t0 = time.process_time()
+        self._post_off = np.zeros(df.size + 1, dtype=np.int64)
+        np.cumsum(df, out=self._post_off[1:])
+        row_start = np.zeros(int(self._post_off[-1]), dtype=bool)
+        row_start[self._post_off[:-1][df > 0]] = True
+
+        def stream(name: str):
+            arr = self._col.pop(name)  # the encoded column is not kept
+            _, off, vals = arr.buffers()
+            if off is None:  # an empty column
+                return np.empty(0, np.uint8), np.zeros(1, np.int64)
+            off = np.frombuffer(off, dtype=np.int32)[arr.offset : arr.offset + len(arr) + 1]
+            return np.frombuffer(vals, dtype=np.uint8), off.astype(np.int64)
+
+        docs = codec.delta_decode_resets(codec.decode_rows(*stream("docs"), df, self._codec), row_start)
+        freqs = codec.decode_rows(*stream("freqs"), df, self._codec)
+        nv, no = stream("norms")
+        norms = nv[no[0] : no[-1]]
+        # positions: one value buffer, row r at its [_pos_off[r], _pos_off[r + 1])
+        self._pos_vals, self._pos_off = stream("positions")
+        self._cf = self._col["cf"].to_numpy()
+        for a in (docs, freqs, norms):
+            a.flags.writeable = False  # a caller writing into a slice raises
+        self._docs, self._freqs, self._norms = docs, freqs, norms
+        self._decode_ms = (time.process_time() - t0) * 1e3
 
     def ping(self) -> bool:
         return True
 
     # -- tombstones (per-shard live docs) ---------------------------------
     def set_tombstones(self, dead: np.ndarray) -> None:
-        """Install the deleted-doc set (sorted at install).  Decoded-posting
-        and result caches are invalidated: postings are masked at decode, so
-        the per-query cost of deletes is ZERO regardless of tombstone count
-        (the Lucene live-docs-bitset shape, lucene/core/.../codecs/lucene50/
-        Lucene50LiveDocsFormat.java)."""
+        """Install the deleted-doc set (sorted at install) and its
+        per-posting live mask over the flat decoded docs (None when no
+        posting is dead), which `_postings` applies to each slice — the
+        Lucene live-docs-bitset shape (lucene/core/.../codecs/lucene50/
+        Lucene50LiveDocsFormat.java).  The flat arrays are never compacted,
+        so clearing the set brings every doc back.  The positions and
+        result caches are invalidated."""
         self._dead = np.sort(np.asarray(dead, dtype=np.int64))
+        self._post_live = self._live_mask(self._docs)
         self._cache.clear()
         self._result_cache.clear()
 
@@ -279,8 +323,10 @@ class IndexShard:
 
     def prune_stats(self) -> dict:
         """Cumulative block-max pruning effectiveness (Ding & Suel-style
-        'fraction of candidates never exactly scored') + the postings-
-        and result-cache counters: `Searcher.metrics()`'s one shard call."""
+        'fraction of candidates never exactly scored'), the positions- and
+        result-cache counters and the open-time postings decode gauge
+        (postings held decoded, their MiB, the decode's CPU ms):
+        `Searcher.metrics()`'s one shard call."""
         c, s = self._prune_candidates, self._prune_survivors
         return {
             "candidates": c,
@@ -288,46 +334,51 @@ class IndexShard:
             "pruned_frac": (1.0 - s / c) if c else 0.0,
             "cache": self._cache.stats(),
             "result_cache": self._result_cache.stats(),
+            "postings": {
+                "postings": int(self._docs.size),
+                "decoded_mib": sum(a.nbytes for a in (self._docs, self._freqs, self._norms)) / 2**20,
+                "open_decode_ms": self._decode_ms,
+            },
         }
 
     # -- postings access ---------------------------------------------------
     def _postings(self, term: str, with_positions: bool = False):
-        """→ (docs, freqs, norm_bytes[, positions, pos_starts]) or None."""
-        cached = self._cache.get(term)
-        if cached is not None and (not with_positions or len(cached) == 5):
-            return cached
+        """→ (docs, freqs, norm_bytes[, positions, pos_starts]) or None:
+        read-only slices of the flat decoded arrays (copies where
+        tombstones mask some postings)."""
         run = self._run(term)
         if run is None:
             return None
-        docs_l, freqs_l, norms_l, pos_l = [], [], [], []
-        for r in range(*run):
-            df = self._col["df"][r].as_py()
-            docs_l.append(codec.decode_docs(self._col["docs"][r].as_py(), df, self._codec))
-            fr = codec.decode_freqs(self._col["freqs"][r].as_py(), df, self._codec)
-            freqs_l.append(fr)
-            norms_l.append(np.frombuffer(self._col["norms"][r].as_py(), dtype=np.uint8))
-            if with_positions:
-                flat, _ = codec.decode_positions(self._col["positions"][r].as_py(), fr, self._codec)
-                pos_l.append(flat)
-        docs = np.concatenate(docs_l)
-        freqs = np.concatenate(freqs_l)
-        norms = np.concatenate(norms_l)
-        positions = np.concatenate(pos_l) if with_positions else None
-        # tombstone mask applied ONCE at decode — cached postings are
-        # already live-only, so deletes cost nothing per query
-        live = self._live_mask(docs)
+        lo, hi = run
+        p0, p1 = int(self._post_off[lo]), int(self._post_off[hi])
+        docs, freqs, norms = self._docs[p0:p1], self._freqs[p0:p1], self._norms[p0:p1]
+        live = None if self._post_live is None else self._post_live[p0:p1]
+        if live is not None and live.all():
+            live = None
         if live is not None:
-            if positions is not None:
-                positions = positions[np.repeat(live, freqs)]
             docs, freqs, norms = docs[live], freqs[live], norms[live]
-        if with_positions:
-            starts = np.zeros(freqs.size, dtype=np.int64)
-            np.cumsum(freqs[:-1], out=starts[1:])
-            out = (docs, freqs, norms, positions, starts)
-        else:
-            out = (docs, freqs, norms)
-        self._cache.put(term, out)
-        return out
+        if not with_positions:
+            return docs, freqs, norms
+        pos = self._cache.get(term)
+        if pos is None:
+            pos = self._positions(lo, hi, self._freqs[p0:p1], live)
+            self._cache.put(term, pos)
+        return (docs, freqs, norms, *pos)
+
+    def _positions(self, lo: int, hi: int, freqs: np.ndarray, live: np.ndarray | None):
+        """(positions, per-posting starts) of rows [lo, hi): one decode over
+        the rows' contiguous bytes, each posting's deltas restarting at its
+        first position; `live` masks the postings (freqs are unmasked)."""
+        flat = codec.decode_rows(self._pos_vals, self._pos_off[lo : hi + 1], self._cf[lo:hi], self._codec)
+        reset = np.zeros(flat.size, dtype=bool)
+        reset[np.cumsum(freqs) - freqs] = True
+        positions = codec.delta_decode_resets(flat, reset)
+        if live is not None:
+            positions = positions[np.repeat(live, freqs)]
+            freqs = freqs[live]
+        starts = np.cumsum(freqs) - freqs
+        positions.flags.writeable = starts.flags.writeable = False  # cached
+        return positions, starts
 
     def _block_meta(self, term: str):
         """Concatenated (last_doc, max_freq, min_norm) block arrays."""
@@ -929,7 +980,7 @@ class IndexShard:
         """Materialize an expression's inputs for the GIVEN doc vector:
         termfreq('term') becomes a per-doc tf array from this shard's
         postings (Solr's TermFreqValueSource — tombstone mask inherited
-        from the decode), every other field loads from numeric doc-values.
+        from `_postings`), every other field loads from numeric doc-values.
         → (rewritten expr, columns dict)."""
         from ..functions.scalar import Expr, expr_fields, transform_calls
 

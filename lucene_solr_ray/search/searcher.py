@@ -509,9 +509,11 @@ class Searcher:
         """/admin/metrics analog (solr/core/src/java/org/apache/solr/
         handler/admin/MetricsHandler.java): per-shard result-cache and
         block-max-pruning counters aggregated across the actor pool, plus
-        index-level gauges — one scatter, numbers only."""
+        index-level gauges (`postings`: what the actors decoded at open,
+        summed over actors) — one scatter, numbers only."""
         pr = self._scatter("prune_stats")
         rc = [p["result_cache"] for p in pr]
+        po = [p["postings"] for p in pr]
         cands = sum(p["candidates"] for p in pr)
         scored = sum(p["scored"] for p in pr)
         return {
@@ -530,6 +532,7 @@ class Searcher:
                 "scored": scored,
                 "pruned_frac": (1.0 - scored / cands) if cands else 0.0,
             },
+            "postings": {k: sum(p[k] for p in po) for k in ("postings", "decoded_mib", "open_decode_ms")},
         }
 
     def wordbreak(self, word: str, max_suggestions: int = 5) -> list[tuple[str, str, int]]:

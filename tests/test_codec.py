@@ -64,3 +64,71 @@ def test_block_meta_consistency():
         assert minn[b] == norms[sl].min()
     # last_doc strictly increasing across blocks (skip-list invariant)
     assert (np.diff(last) > 0).all()
+
+
+def test_varbyte_decode_extremes():
+    """2**63-1 is 9 bytes; values from 2**63 up take 10 and decode to the
+    same 64 bits (as int64)."""
+    vals = np.array([2**63 - 1, 2**63, 2**64 - 1, 2**56, 0, 1], dtype=np.uint64)
+    assert codec.varbyte_lengths(vals).tolist() == [9, 10, 10, 9, 1, 1]
+    buf = codec.varbyte_encode(vals)
+    assert len(buf) == 40
+    assert (codec.varbyte_decode(buf, vals.size).view(np.uint64) == vals).all()
+
+
+def test_varbyte_decode_empty_and_concatenated():
+    out = codec.varbyte_decode(b"")
+    assert out.dtype == np.int64 and out.size == 0
+    assert codec.varbyte_decode(b"", 0).size == 0
+    rng = np.random.default_rng(11)
+    parts = [rng.integers(0, 2 ** int(b), size=n) for b, n in ((3, 5), (40, 7), (62, 1), (14, 0), (20, 300))]
+    buf = b"".join(codec.varbyte_encode(p) for p in parts)
+    assert (codec.varbyte_decode(buf, sum(p.size for p in parts)) == np.concatenate(parts)).all()
+    # a uint8 view decodes like the bytes it holds
+    head = len(codec.varbyte_encode(parts[0])) + len(codec.varbyte_encode(parts[1]))
+    view = np.frombuffer(buf, dtype=np.uint8)[:head]
+    assert (codec.varbyte_decode(view, 12) == np.concatenate(parts[:2])).all()
+
+
+@pytest.mark.parametrize("buf, count", [(b"", 1), (bytes([5, 6]), 1), (bytes([5, 6]), 3)])
+def test_varbyte_decode_count_mismatch(buf, count):
+    with pytest.raises(ValueError, match="expected"):
+        codec.varbyte_decode(buf, count)
+
+
+def test_varbyte_decode_truncated_stream_raises():
+    buf = codec.varbyte_encode(np.array([1, 300]))
+    with pytest.raises(ValueError, match="inside a value"):
+        codec.varbyte_decode(buf[:-1])
+
+
+@pytest.mark.parametrize("first_reset", [True, False])
+def test_delta_decode_resets_inverts_encode(first_reset):
+    rng = np.random.default_rng(5)
+    lens = rng.integers(1, 40, size=60)
+    vals = np.concatenate([np.sort(rng.choice(10**6, size=n, replace=False)) for n in lens])
+    reset = np.zeros(vals.size, dtype=bool)
+    reset[np.cumsum(lens) - lens] = True
+    reset[0] = first_reset  # index 0 restarts whatever the mask says
+    deltas = codec.delta_encode_resets(vals, reset)
+    assert (codec.delta_decode_resets(deltas, reset) == vals).all()
+    assert codec.delta_decode_resets(deltas[:0], reset[:0]).size == 0
+
+
+@pytest.mark.parametrize("name", ["varbyte", "for"])
+def test_decode_rows_is_per_row_decode(name):
+    """Rows decoded in one call equal each row decoded on its own."""
+    from lucene_solr_ray.index.for_codec import for_encode
+
+    enc = for_encode if name == "for" else codec.varbyte_encode
+    rng = np.random.default_rng(2)
+    rows = [rng.integers(0, 2 ** int(rng.integers(1, 63)), size=int(n)) for n in rng.integers(1, 300, size=40)]
+    cells = [enc(r) for r in rows]
+    values = np.frombuffer(b"xx" + b"".join(cells), dtype=np.uint8)  # rows need not start at 0
+    offs = 2 + np.concatenate([[0], np.cumsum([len(c) for c in cells])])
+    counts = np.array([r.size for r in rows])
+    assert (codec.decode_rows(values, offs, counts, name) == np.concatenate(rows)).all()
+    assert (codec.decode_rows(values, offs[3:6], counts[3:5], name) == np.concatenate(rows[3:5])).all()
+    assert codec.decode_rows(values, offs[:1], counts[:0], name).size == 0
+    with pytest.raises(ValueError):
+        codec.decode_rows(values, offs, counts + 1, name)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from lucene_solr_ray.index import codec
-from lucene_solr_ray.index.for_codec import for_decode, for_encode
+from lucene_solr_ray.index.for_codec import for_decode, for_decode_rows, for_encode, for_encode_rows
 
 
 @pytest.mark.parametrize("n", [0, 1, 127, 128, 129, 1000, 10_000])
@@ -28,6 +28,29 @@ def test_zero_and_uniform_blocks():
     assert (for_decode(for_encode(np.zeros(300, dtype=np.int64))) == 0).all()
     v = np.full(129, 7, dtype=np.int64)
     assert (for_decode(for_encode(v)) == v).all()
+
+
+def test_rows_encode_each_row_as_its_own_stream():
+    """A column encoded in one call is each row's stream back to back: no
+    block straddles a row, so every cell decodes on its own and the whole
+    buffer decodes in one walk."""
+    rng = np.random.default_rng(4)
+    lens = np.array([0, 1, 127, 128, 129, 300, 0, 5, 1000, 2])
+    off = np.concatenate([[0], np.cumsum(lens)])
+    vals = rng.integers(0, 2**12, size=off[-1])
+    vals[rng.integers(0, off[-1], 40)] = rng.integers(0, 2**62, 40)  # patched exceptions
+    vals[off[8] : off[8] + 50] = rng.integers(2**60, 2**63 - 1, 50)  # wider than 56 bits
+    buf, byte_off = for_encode_rows(vals, off)
+    assert byte_off[0] == 0 and byte_off[-1] == len(buf)
+    for i in range(lens.size):
+        cell = buf[byte_off[i] : byte_off[i + 1]]
+        assert cell == for_encode(vals[off[i] : off[i + 1]]), i
+        assert (for_decode(cell, int(lens[i])) == vals[off[i] : off[i + 1]]).all(), i
+    assert (for_decode_rows(buf, byte_off, lens) == vals).all()
+    with pytest.raises(ValueError):
+        for_decode_rows(buf, byte_off, lens + 1)
+    buf0, off0 = for_encode_rows(vals[:0], [0])  # no rows
+    assert buf0 == b"" and off0.tolist() == [0]
 
 
 def test_negative_rejected():
