@@ -9,7 +9,7 @@ collapses to (word, count) rows before any merge arithmetic happens.
 Ray shape:
 - Train — one streaming pass emits per-batch (word, cnt) partials keyed
   into fixed hash buckets (vocabulary never merges unbucketed — CLAUDE.md
-  bucketed-shuffle rule); per-bucket `map_groups` merges exactly and
+  bucketed-shuffle rule); each merge call (whole buckets) merges exactly and
   truncates to the top-M words per bucket (the standard frequency-table
   cap: a dropped rare word perturbs pair counts by ≤ its own count, which
   cannot reorder early merges at real scale and the cap never binds at
@@ -35,7 +35,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from .common import Pipeline, bucketed, read
+from .common import BUCKET_COL, Pipeline, bucketed, read, top_per_bucket
 from .text import _tokens
 
 BPE_BUCKETS = 64
@@ -57,8 +57,8 @@ def _word_partials(batch: pd.DataFrame) -> pd.DataFrame:
 
 
 def _merge_word_bucket(g: pd.DataFrame) -> pd.DataFrame:
-    m = g.groupby("word", as_index=False)["cnt"].sum()
-    m = m.sort_values(["cnt", "word"], ascending=[False, True]).head(BPE_TOP_M)
+    m = g.groupby([BUCKET_COL, "word"], as_index=False)["cnt"].sum()
+    m = top_per_bucket(m, "cnt", "word", BPE_TOP_M)
     m["cnt"] = m["cnt"].astype("int64")
     return m[["word", "cnt"]]
 

@@ -89,7 +89,7 @@ def line_dedup(sf_dir: str, sep: str = " a ", min_count: int = 2):
     )
 
 
-def line_dedup_over(docs, sep: str = " a ", min_count: int = 2, nbuckets: int | None = None):
+def line_dedup_over(docs, sep: str = " a ", min_count: int = 2):
     """Dataset-shaped core of line_dedup (the curate-flagship stage form):
     `docs` carries at least (doc_id, text); → Dataset with (doc_id,
     text_clean, n_lines, n_removed) — other non-text columns pass through
@@ -147,8 +147,8 @@ def line_dedup_over(docs, sep: str = " a ", min_count: int = 2, nbuckets: int | 
         )
 
     lines = docs.select_columns(["doc_id", "text"]).map_batches(explode, batch_format="pandas")
-    scrubbed = bucketed(lines, "ln", bucket_scrub, nbuckets)
-    cleaned = bucketed(scrubbed, "doc_id", reassemble, nbuckets)
+    scrubbed = bucketed(lines, "ln", bucket_scrub)
+    cleaned = bucketed(scrubbed, "doc_id", reassemble)
     other = [c for c in docs.schema().names if c != "text"]
     if other == ["doc_id"]:
         return cleaned

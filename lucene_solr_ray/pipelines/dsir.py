@@ -18,11 +18,11 @@ Distribution of work mirrors `pipelines/lm.py`:
 
 Train — token counts NEVER merge unbucketed (CLAUDE.md bucketed-shuffle
 rule): per-batch (token, c_target, c_raw) partials go through
-`bucketed` with LM_BUCKETS buckets; per-bucket map_groups merges exactly, contributes
-its exact distinct count (V) and token-total partials (T_target/T_raw
-over the FULL bucket, pre-truncation), then truncates the shipped model to
-the per-bucket top-M by either count (a token lives in exactly one bucket,
-so any global top-k ≤ M by c_target or c_raw is exact).
+`bucketed` with LM_BUCKETS buckets; each merge call (whole buckets) merges
+exactly, contributes its exact distinct count (V) and token-total partials
+(T_target/T_raw over its FULL buckets, pre-truncation), then truncates the
+shipped model to the per-bucket top-M by either count (a token lives in
+exactly one bucket, so any global top-k ≤ M by c_target or c_raw is exact).
 
 Score — the bounded model is ray.put ONCE; workers build math.log
 lookup tables (libm — CLAUDE.md score parity) and each batch gathers
@@ -39,7 +39,7 @@ import math
 import numpy as np
 import pandas as pd
 
-from .common import Pipeline, bucket_of, bucketed, read
+from .common import BUCKET_COL, Pipeline, bucket_of, bucketed, read, top_per_bucket
 from .lm import LM_BUCKETS, LM_TOP_M
 from .text import TOKEN_RE, _explode_tokens
 
@@ -68,8 +68,8 @@ def _dsir_partials(batch: pd.DataFrame) -> pd.DataFrame:
 
 
 def _merge_dsir_bucket(g: pd.DataFrame) -> pd.DataFrame:
-    m = g.groupby("key", as_index=False)[["ct", "cr"]].sum()
-    # exact bucket-local stats BEFORE truncation: distinct vocab + totals
+    m = g.groupby([BUCKET_COL, "key"], as_index=False)[["ct", "cr"]].sum()
+    # exact stats of the call's buckets BEFORE truncation: distinct vocab + totals
     stats = pd.DataFrame(
         {
             "key": ["__v__", "__tot__"],
@@ -78,8 +78,8 @@ def _merge_dsir_bucket(g: pd.DataFrame) -> pd.DataFrame:
             "kind": np.int64(1),
         }
     )
-    top_t = m.sort_values(["ct", "key"], ascending=[False, True]).head(LM_TOP_M)
-    top_r = m.sort_values(["cr", "key"], ascending=[False, True]).head(LM_TOP_M)
+    top_t = top_per_bucket(m, "ct", "key", LM_TOP_M)
+    top_r = top_per_bucket(m, "cr", "key", LM_TOP_M)
     keep = pd.concat([top_t, top_r], ignore_index=True).drop_duplicates("key")
     keep["kind"] = np.int64(0)
     out = pd.concat([keep, stats], ignore_index=True)

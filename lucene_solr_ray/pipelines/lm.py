@@ -13,10 +13,11 @@ as a broadcast-model streaming scorer:
 Train — vocabulary-keyed counts NEVER merge unbucketed on one node
 (CLAUDE.md bucketed-shuffle rule): one streaming pass emits per-batch
 unigram/bigram count partials go through `bucketed` (LM_BUCKETS
-buckets); per-bucket map_groups merges exactly, counts its distinct unigrams
-(V is the sum of per-bucket distincts — exact, buckets partition the vocab)
-and truncates to the top-M entries per bucket (the pruned-KenLM model cap;
-a bigram's global count is bucket-local, so any global top-k ≤ M is exact).
+buckets); each merge call (one or more whole buckets) merges exactly, counts
+its distinct unigrams (V is the sum of the per-call distincts — exact,
+buckets partition the vocab) and truncates to the top-M entries of each
+bucket (the pruned-KenLM model cap; a bigram's global count is bucket-local,
+so any global top-k ≤ M is exact).
 
 Score — the bounded model is ray.put ONCE; an actor pool builds
 math.log lookup tables in __init__ (libm, never np.log — CLAUDE.md score
@@ -38,16 +39,14 @@ import math
 import numpy as np
 import pandas as pd
 
-from .common import Pipeline, bucketed, read
+from .common import BUCKET_COL, Pipeline, bucketed, read, top_per_bucket
 from .text import TOKEN_RE, _tokens
 
 # per-bucket model cap: bounds the broadcast model to ≤ LM_BUCKETS·M rows
 # per kind (CCNet prunes its KenLM the same way); never binds at test scale.
 LM_TOP_M = 50_000
-# fewer buckets than SHUFFLE_BUCKETS: map_groups costs ~1ms/group of fixed
-# scheduling (CLAUDE.md), and 512 groups dominated the trainer wall-time
-# (6.6 s → 1.6 s at 64, measured sf0.1). Raise on a real cluster where
-# per-bucket merge parallelism matters more than per-group fixed cost.
+# the model's bucket count: with LM_TOP_M it sets the model's size, so it is
+# part of the model (dsir.py shares it), not a shuffle-cost setting
 LM_BUCKETS = 64
 
 
@@ -77,15 +76,15 @@ def _count_partials(batch: pd.DataFrame) -> pd.DataFrame:
 
 
 def _merge_bucket_topm(g: pd.DataFrame) -> pd.DataFrame:
-    """Per-bucket exact merge + distinct-unigram count + top-M truncation."""
-    m = g.groupby(["kind", "key"], as_index=False)["cnt"].sum()
+    """Exact merge + distinct-unigram count + per-bucket top-M truncation."""
+    m = g.groupby([BUCKET_COL, "kind", "key"], as_index=False)["cnt"].sum()
     uni = m[m["kind"] == 0]
     big = m[m["kind"] == 1]
     v_row = pd.DataFrame({"key": ["__v__"], "kind": [2], "cnt": [np.int64(len(uni))]})
     keep = pd.concat(
         [
-            uni.sort_values(["cnt", "key"], ascending=[False, True]).head(LM_TOP_M),
-            big.sort_values(["cnt", "key"], ascending=[False, True]).head(LM_TOP_M),
+            top_per_bucket(uni, "cnt", "key", LM_TOP_M),
+            top_per_bucket(big, "cnt", "key", LM_TOP_M),
             v_row,
         ],
         ignore_index=True,

@@ -166,8 +166,8 @@ def media_pipeline(sf_dir: str):
         uniq, counts = np.unique(ids, return_counts=True)
         return pa.table({"doc_id": pa.array(uniq), "n_frames": pa.array(counts.astype(np.int64))})
 
-    # bucketed map_groups instead of the Ray Aggregate op (2-4 s fixed
-    # cost on this box — CLAUDE.md)
+    # a bucketed shuffle instead of the Ray Aggregate op (2-4 s fixed
+    # cost per call — CLAUDE.md)
     def _sum_frames(g):
         return g.groupby("doc_id", as_index=False)["n_frames"].sum()
 

@@ -221,7 +221,6 @@ FROM sel ORDER BY doc_id, pos
 # ordering lands on the driver.
 
 KW_K = 3
-_DOC_BUCKETS = 64
 
 
 def tfidf_keywords(sf_dir: str):
@@ -267,7 +266,7 @@ def tfidf_keywords(sf_dir: str):
         return g.loc[r < KW_K, ["doc_id", "token", "score"]]
 
     scored = bucketed(ds.map_batches(explode, batch_format="pandas"), "token", score_bucket)
-    out = bucketed(scored, "doc_id", topk_per_doc, _DOC_BUCKETS).to_pandas()  # ≤ KW_K rows per doc
+    out = bucketed(scored, "doc_id", topk_per_doc).to_pandas()  # ≤ KW_K rows per doc
     order = np.lexsort((out["token"].to_numpy(), -out["score"].to_numpy(), out["doc_id"].to_numpy()))
     return out.iloc[order].reset_index(drop=True)
 

@@ -1755,8 +1755,6 @@ ORDER BY c_custkey
 # Ties on (key, time) in the right side are broken deterministically
 # (highest order key wins) so engine and oracle agree row-for-row.
 
-_ASOF_BUCKETS = 64
-
 
 def asof_join(sf_dir: str):
     left = read(sf_dir, "events", ["event_id", "user_id", "ts"]).map_batches(
@@ -1817,7 +1815,7 @@ def asof_join(sf_dir: str):
             }
         )
 
-    out = bucketed(left.union(right), "key", join_bucket, _ASOF_BUCKETS).to_pandas()
+    out = bucketed(left.union(right), "key", join_bucket).to_pandas()
     return out.sort_values("event_id").reset_index(drop=True)
 
 

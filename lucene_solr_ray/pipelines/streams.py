@@ -888,7 +888,7 @@ def _drill(ctx: Ctx, e: Expr) -> SRes:
     )
     if ds is None:
         return SRes(df=merge(partial(inner.df)))
-    return SRes(ds=bucketed(ds, over, merge, 64), sort=[(c, True) for c in over])
+    return SRes(ds=bucketed(ds, over, merge), sort=[(c, True) for c in over])
 
 
 def _significant_terms(ctx: Ctx, e: Expr) -> SRes:
@@ -906,8 +906,7 @@ def _significant_terms(ctx: Ctx, e: Expr) -> SRes:
     schema = pq.read_schema(f"{ctx.sf_dir}/{table}.parquet")
     qcols, mask = _compile_q(str(e.params.get("q", "*:*")), schema)
     cols = list(dict.fromkeys([field_name] + qcols))
-    # 64 buckets: map_groups fixed cost dominates at 512 (see lm.py)
-    out = significant_terms_over(read(ctx.sf_dir, table, cols), field_name, mask, mindf, limit, 64)
+    out = significant_terms_over(read(ctx.sf_dir, table, cols), field_name, mask, mindf, limit)
     return SRes(df=out)
 
 

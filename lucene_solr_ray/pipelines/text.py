@@ -446,7 +446,7 @@ GROUP BY token ORDER BY df DESC, token LIMIT 20
 # done on exact ints.
 
 
-def significant_terms_over(ds, field: str, fg_mask, min_df: int, limit: int, n_buckets: int | None = None):
+def significant_terms_over(ds, field: str, fg_mask, min_df: int, limit: int):
     """(token, fg_df, bg_df) for the `limit` terms of `ds[field]` most
     over-represented in the foreground, among terms with bg_df ≥ min_df.
     `fg_mask(batch)` → per-doc foreground flags (None: every doc).  df
@@ -473,7 +473,7 @@ def significant_terms_over(ds, field: str, fg_mask, min_df: int, limit: int, n_b
         return top(m[m["bg_df"] >= min_df])
 
     parts = ds.map_batches(explode, batch_format="pandas")
-    out = bucketed(parts, "token", merge, n_buckets).to_pandas()  # ≤ buckets × limit rows
+    out = bucketed(parts, "token", merge).to_pandas()  # ≤ buckets × limit rows
     out["fg_df"] = out["fg_df"].astype("int64")
     out["bg_df"] = out["bg_df"].astype("int64")
     return top(out).reset_index(drop=True)

@@ -572,9 +572,6 @@ def test_pii_scrub_documents_nonvacuous(ray_session):
     assert not out["clean"].str.contains("@example.com", regex=False).any()
 
 
-_WIDTHS = {"asof_join": ("relational", "_ASOF_BUCKETS")}  # others: the shared default
-
-
 @pytest.mark.parametrize(
     "name",
     [
@@ -592,13 +589,10 @@ _WIDTHS = {"asof_join": ("relational", "_ASOF_BUCKETS")}  # others: the shared d
 def test_bucket_width_invariance(ray_session, monkeypatch, name):
     # a bucketed shuffle only co-locates equal keys, so the answer must not
     # depend on the bucket count
-    import importlib
+    from lucene_solr_ray.pipelines import REGISTRY, common
 
-    from lucene_solr_ray.pipelines import REGISTRY
-
-    module, width = _WIDTHS.get(name, ("common", "SHUFFLE_BUCKETS"))
     fn = REGISTRY[name].fn
     base = fn(SF)
-    monkeypatch.setattr(importlib.import_module(f"lucene_solr_ray.pipelines.{module}"), width, 3)
+    monkeypatch.setattr(common, "SHUFFLE_BUCKETS", 3)
     pd.testing.assert_frame_equal(base, fn(SF))
     assert len(base) > 0
