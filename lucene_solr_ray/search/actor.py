@@ -5,7 +5,8 @@ The Ray analog of a SolrCloud shard replica + Lucene IndexSearcher leaf
 `ray.remote` by the Searcher) that loads its shard's postings ONCE in
 `__init__` and decodes every docID and freq there into flat arrays, so a
 term's postings are slices (positions stay encoded until asked for).
-Queries arrive as `collect(node, idfs, sim, specs)`: the match set
+Queries arrive as `collect(node, idfs, sim, specs)` (on a Ray pool
+through `call`, one pickled request and one pickled reply): the match set
 evaluates ONCE and every asked-for collector
 (`COLLECT` — the ranked page, counts, facets, stats, groups, field sorts,
 collapse, function scores, joins) reduces it to one bounded partial, and
@@ -43,6 +44,8 @@ that store: `_doc_column` reads a column once and caches it.
 """
 
 from __future__ import annotations
+
+import pickle
 
 import numpy as np
 import pandas as pd
@@ -194,6 +197,19 @@ class IndexShard:
 
     def ping(self) -> bool:
         return True
+
+    def call(self, request: bytes) -> bytes:
+        """The one entry the driver's `Searcher._scatter` calls: `request`
+        is `pickle((method, args))`; run that public method and → its
+        result pickled.  One bytes object each way skips Ray's
+        per-argument serialization (cloudpickle per argument, one buffer
+        per ndarray), which costs more than the work of a cheap request.
+        An exception raised by the method reaches the caller as its own
+        type; a `_private` name is refused."""
+        method, args = pickle.loads(request)
+        if method.startswith("_"):
+            raise ValueError(f"IndexShard.call: {method!r} is not a public method")
+        return pickle.dumps(getattr(self, method)(*args), pickle.HIGHEST_PROTOCOL)
 
     # -- tombstones (per-shard live docs) ---------------------------------
     def set_tombstones(self, dead: np.ndarray) -> None:
@@ -842,7 +858,9 @@ class IndexShard:
         shard's one result cache (Solr's queryResultCache) keys the whole
         request: the weights are part of the key (a stats-generation flip
         must not serve stale partials), and specs hold plain Python values,
-        so their `repr` is exact."""
+        so their `repr` is exact.  On a Ray pool the request arrives
+        through `call`, unpickled into the same values, so the key is the
+        same as for a direct call."""
         key = (repr(node), sim, tuple(sorted(idfs.items())), repr(specs))
         hit = self._result_cache.get(key)
         if hit is not None:

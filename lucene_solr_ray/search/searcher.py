@@ -38,6 +38,7 @@ session — the caller must have Ray initialized.
 from __future__ import annotations
 
 import json
+import pickle
 import re
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
@@ -325,7 +326,7 @@ class Searcher:
                 )
                 for dirs, ids in zip(assign, assign_ids)
             ]
-            ray.get([a.ping.remote() for a in self.actors])  # warm load
+            self._scatter("ping")  # warm load
         else:
             self.actors = [
                 IndexShard(
@@ -357,6 +358,13 @@ class Searcher:
         file) and `match_all` (every hit); the rest are dictionary
         partials (expand, terms, spellcheck) and admin calls.
 
+        On a Ray pool the call is ONE pickled request, `(method, args)`,
+        sent as the same bytes to every actor's `IndexShard.call`, and
+        each actor answers with ONE pickled reply: Ray serializes one
+        bytes object each way instead of every argument and every reply
+        array on its own.  An in-process Searcher calls the method
+        directly.
+
         `self.tolerant` is Solr's `shards.tolerant=true` (solr/core/.../
         handler/component/SearchHandler.java partialResults): a dead shard
         actor is SKIPPED instead of failing the request, and
@@ -369,14 +377,15 @@ class Searcher:
         if self.use_ray:
             import ray
 
-            refs = [getattr(a, method).remote(*args) for a in self.actors]
+            request = pickle.dumps((method, args), pickle.HIGHEST_PROTOCOL)
+            refs = [a.call.remote(request) for a in self.actors]
             if not getattr(self, "tolerant", False):
-                return ray.get(refs)
+                return [pickle.loads(r) for r in ray.get(refs)]
             out = []
             self.last_partial = False
             for r in refs:
                 try:
-                    out.append(ray.get(r))
+                    out.append(pickle.loads(ray.get(r)))
                 except ray.exceptions.RayActorError:
                     self.last_partial = True
             if not out:

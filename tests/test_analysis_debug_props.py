@@ -5,11 +5,13 @@ property-test leg, SURVEY §5)."""
 import re
 import string
 import sys
+from pathlib import Path
 
 from hypothesis import given
 from hypothesis import strategies as st
 
-sys.path.insert(0, "/root/repo")
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT))
 
 from lucene_solr_ray.analysis.debug import analyze_debug, analyze_standard_debug
 from lucene_solr_ray.analysis.extras import lowercase_filter, porter_stem_filter, stop_filter

@@ -4,12 +4,14 @@ recompute), and the BPE tokenizer (vs a pure-Python reference trainer and
 a naive per-word encoder)."""
 
 import sys
+from pathlib import Path
 
 import numpy as np
 import pandas as pd
 import pytest
 
-sys.path.insert(0, "/root/repo")
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT))
 
 SF = "/root/testdata/sf0.001"
 

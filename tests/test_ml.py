@@ -6,12 +6,14 @@ reference for the gradient-descent duel, and label accuracy for classify.
 
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pandas as pd
 import pytest
 
-sys.path.insert(0, "/root/repo")
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT))
 
 SF = "/root/testdata/sf0.001"
 

@@ -5,10 +5,12 @@ checked by algorithm-derived values + spelling-variant equivalence.
 """
 
 import sys
+from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, "/root/repo")
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT))
 
 from lucene_solr_ray.analysis.extras import (
     capitalization_filter,

@@ -7,13 +7,15 @@ locality, stubbed media decode vs direct computation.
 """
 
 import sys
+from pathlib import Path
 
 import numpy as np
 import pandas as pd
 import pytest
 
-sys.path.insert(0, "/root/repo")
-sys.path.insert(0, "/root/repo/tools")
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT))
+sys.path.insert(0, str(ROOT / "tools"))
 
 SF = "/root/testdata/sf0.001"
 

@@ -3,16 +3,19 @@
 the working tree, on the same host.
 
     python3 tools/ab.py --workload query_tail --seeds 41,42,43 --seconds 6 \
-        [--base HEAD~1] [--trace 0|1]
+        [--base HEAD~1|<dir>] [--trace 0|1]
 
 The base revision is checked out with `git worktree` under a temp dir and
-removed on exit (also on SIGINT/SIGTERM).  For each seed the two sides run
-back to back, the side that goes first alternating from pair to pair, so
-slow drift in host load hits both equally.  Each run's result line is
+removed on exit (also on SIGINT/SIGTERM); a `--base` that names a
+directory is used as the base checkout as it stands (e.g. one exported
+with `git archive <rev> | tar -x -C <dir>`).  For each seed the two sides
+run back to back, the side that goes first alternating from pair to pair,
+so slow drift in host load hits both equally.  Each run's result line is
 printed as it lands (`correct`, `failed`); at the end, per metric: the
 base and working-tree medians, their ratio, the base IQR (Q3 − Q1) and in
 how many pairs the working tree was better (direction from
-BENCHMARK.json).
+BENCHMARK.json), then per side the host context of its runs (medians of
+`hw_probe_1proc` and `steal_frac` from the run's `perfbench_detail` line).
 """
 
 from __future__ import annotations
@@ -36,7 +39,8 @@ def _on_sigterm(signum, frame):
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One `perfbench/run.py` run in `checkout`; its last stdout line."""
+    """One `perfbench/run.py` run in `checkout`: its result line (the last
+    stdout line), with the run's host context under "host"."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.Popen(cmd, cwd=checkout, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
@@ -48,10 +52,11 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: in
         proc.terminate()
         proc.wait()
         raise
-    lines = [ln for ln in stdout.splitlines() if ln.startswith("{")]
+    lines = [json.loads(ln) for ln in stdout.splitlines() if ln.startswith("{")]
     if proc.returncode != 0 or not lines:
         return {"correct": False, "failed": -1, "metrics": {}, "returncode": proc.returncode}
-    return json.loads(lines[-1])
+    detail = next((ln["perfbench_detail"] for ln in lines if "perfbench_detail" in ln), {})
+    return dict(lines[-1], host=detail.get("host", {}))
 
 
 def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> list[str]:
@@ -69,6 +74,13 @@ def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> list[st
         wins = int(np.sum(sign * (head - base) > 0))
         ratio = f"{mh / mb:8.3f}" if mb else f"{'-':>8}"
         rows.append(f"{m:<36}{mb:12.4g}{mh:12.4g}{ratio}{q3 - q1:11.4g}  {wins}/{len(got)}")
+    rows.append("host context (median over the side's runs):")
+    for i, side in enumerate(("base", "head")):
+        ctx = []
+        for k in ("hw_probe_1proc", "steal_frac"):
+            vals = [p[i]["host"][k] for p in pairs if isinstance(p[i].get("host", {}).get(k), (int, float))]
+            ctx.append(f"{k} {np.median(vals):.4g}" if vals else f"{k} -")
+        rows.append(f"  {side}: " + ", ".join(ctx))
     return rows
 
 
@@ -77,7 +89,7 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seeds", required=True, help="comma-separated, one pair per seed")
     ap.add_argument("--seconds", type=float, default=6.0)
-    ap.add_argument("--base", default="HEAD~1", help="git revision to compare against")
+    ap.add_argument("--base", default="HEAD~1", help="git revision, or a checkout directory, to compare against")
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = ap.parse_args(argv)
     seeds = [int(s) for s in args.seeds.split(",") if s]
@@ -87,13 +99,17 @@ def main(argv: list[str] | None = None) -> int:
     signal.signal(signal.SIGTERM, _on_sigterm)
     signal.signal(signal.SIGINT, signal.default_int_handler)  # even if started with SIGINT ignored
     tmp = Path(tempfile.mkdtemp(prefix="ab"))
-    base_dir = tmp / "base"
+    given = Path(args.base).is_dir()
+    base_dir = Path(args.base).resolve() if given else tmp / "base"
     pairs: list[tuple[dict, dict]] = []
     try:
-        subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--detach", "-q", str(base_dir), args.base],
-                       check=True)
-        rev = subprocess.run(["git", "-C", str(base_dir), "rev-parse", "--short", "HEAD"],
-                             check=True, stdout=subprocess.PIPE, text=True).stdout.strip()
+        if given:
+            rev = "directory"
+        else:
+            subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--detach", "-q", str(base_dir), args.base],
+                           check=True)
+            rev = subprocess.run(["git", "-C", str(base_dir), "rev-parse", "--short", "HEAD"],
+                                 check=True, stdout=subprocess.PIPE, text=True).stdout.strip()
         print(f"base {args.base} ({rev}) vs working tree: {args.workload}, seeds {seeds}", flush=True)
         for i, seed in enumerate(seeds):
             sides = [("base", base_dir), ("head", ROOT)]
@@ -107,9 +123,10 @@ def main(argv: list[str] | None = None) -> int:
     finally:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
         signal.signal(signal.SIGTERM, signal.SIG_IGN)
-        subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force", str(base_dir)],
-                       stderr=subprocess.DEVNULL)
-        subprocess.run(["git", "-C", str(ROOT), "worktree", "prune"])
+        if not given:
+            subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force", str(base_dir)],
+                           stderr=subprocess.DEVNULL)
+            subprocess.run(["git", "-C", str(ROOT), "worktree", "prune"])
         shutil.rmtree(tmp, ignore_errors=True)
     return 0 if all(r["correct"] and r["failed"] == 0 for p in pairs for r in p) else 1
 
